@@ -27,15 +27,24 @@ buffered write per commit, ~2x) are reported for context but not
 gated — per-row durability at per-row granularity is what
 ``always``/``batch`` pacing is for.
 
-Both gates use a **best-of-rounds** discipline: interference on a
-shared host only ever slows a sample, so the max throughput / min
-cost per mode converges on the interference-free figure.  Rounds
-scale with ``CARCS_BENCH_STORAGE_ROUNDS`` (default 3).
+Gate A uses a **best-of-rounds** discipline: interference on a shared
+host only ever slows a sample, so the max throughput per mode
+converges on the interference-free figure.  Its rounds scale with
+``CARCS_BENCH_STORAGE_ROUNDS`` (default 3).  Gate B compares two costs
+that a host speed swing moves together, so it runs **paired rounds**:
+each round interleaves the two modes transaction by transaction
+(alternating which goes first), and the verdict is the median of the
+per-round durable/memory ratios.  Costs are process CPU time with the
+cyclic GC paused, which a descheduled process does not accrue (an
+fsync's wait is excluded too: batch mode exists to amortise it), over
+10^4 rows per mode per round, far above timer resolution.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import threading
 import time
 
@@ -54,9 +63,11 @@ LOOKUPS_PER_REQUEST = 10
 READ_SPEEDUP_FLOOR = 2.0
 WRITE_OVERHEAD_BUDGET = 0.30
 
-TX_COUNT = 40              # gate-B ingest: transactions per round
+TX_COUNT = 100             # gate-B ingest: transactions per round
 TX_ROWS = 100              # rows per transaction frame
-SINGLE_OPS = 2_000         # context figure: one frame per row
+SINGLE_CHUNK = 20          # context figure: single-op frames per step
+SINGLE_STEPS = 100         # ... and steps per round (2,000 ops)
+WAL_PAIRS = 7              # gate-B paired rounds (odd: a true median)
 
 JOIN_TIMEOUT = 60.0
 
@@ -147,35 +158,58 @@ def _best_read_rate(tmp_path, mode: str) -> tuple[float, float]:
     return best
 
 
-def _tx_ingest_cost(db: Database) -> float:
-    """Seconds per row for TX_COUNT transactions of TX_ROWS inserts."""
-    db.create_table(_schema())
-    start = time.perf_counter()
-    for tx in range(TX_COUNT):
-        with db.transaction():
-            for i in range(TX_ROWS):
-                db.insert("items", name=f"t{tx}-{i}", group=f"g{i % 20}")
-    return (time.perf_counter() - start) / (TX_COUNT * TX_ROWS)
+def _tx_frame(db: Database, n: int) -> int:
+    """One transaction of TX_ROWS inserts; returns the rows written."""
+    with db.transaction():
+        for i in range(TX_ROWS):
+            db.insert("items", name=f"t{n}-{i}", group=f"g{i % 20}")
+    return TX_ROWS
 
 
-def _single_op_cost(db: Database) -> float:
-    """Seconds per row when every insert commits as its own frame."""
-    db.create_table(_schema())
-    start = time.perf_counter()
-    for i in range(SINGLE_OPS):
-        db.insert("items", name=f"s{i}", group=f"g{i % 20}")
-    return (time.perf_counter() - start) / SINGLE_OPS
+def _single_frames(db: Database, n: int) -> int:
+    """SINGLE_CHUNK inserts, each committing as its own frame."""
+    for i in range(SINGLE_CHUNK):
+        db.insert("items", name=f"s{n}-{i}", group=f"g{i % 20}")
+    return SINGLE_CHUNK
 
 
-def _best_cost(make_db, measure) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        db = make_db()
+def _paired_costs(tmp_path, tag: str, step, steps: int):
+    """Median in-memory and durable CPU cost per row, plus the
+    per-round durable/memory ratios.
+
+    Each round holds one database of each mode and alternates ``step``
+    calls between them (swapping which goes first), so both modes see
+    the same host conditions at millisecond granularity."""
+    memory, durable, ratios = [], [], []
+    for round_no in range(WAL_PAIRS):
+        dbs = {
+            "memory": Database("bench"),
+            "durable": Database.open(tmp_path / f"{tag}-{round_no}",
+                                     wal_sync="batch"),
+        }
+        spent = dict.fromkeys(dbs, 0.0)
+        rows = 0
         try:
-            best = min(best, measure(db))
+            for db in dbs.values():
+                db.create_table(_schema())
+            gc.collect()
+            gc.disable()
+            for n in range(steps):
+                order = ("memory", "durable") if n % 2 else (
+                    "durable", "memory")
+                for mode in order:
+                    start = time.process_time()
+                    written = step(dbs[mode], n)
+                    spent[mode] += time.process_time() - start
+                rows += written
         finally:
-            db.close()
-    return best
+            gc.enable()
+            for db in dbs.values():
+                db.close()
+        memory.append(spent["memory"] / rows)
+        durable.append(spent["durable"] / rows)
+        ratios.append(spent["durable"] / spent["memory"])
+    return statistics.median(memory), statistics.median(durable), ratios
 
 
 def test_pinned_reads_beat_locked_reads_under_durable_writer(tmp_path):
@@ -202,34 +236,23 @@ def test_pinned_reads_beat_locked_reads_under_durable_writer(tmp_path):
 
 
 def test_wal_batch_write_overhead_within_budget(tmp_path):
-    memory = _best_cost(lambda: Database("bench"), _tx_ingest_cost)
+    memory, durable, ratios = _paired_costs(
+        tmp_path, "tx", _tx_frame, TX_COUNT)
+    overhead = statistics.median(ratios) - 1.0
+    memory_single, durable_single, single_ratios = _paired_costs(
+        tmp_path, "single", _single_frames, SINGLE_STEPS)
 
-    counter = iter(range(10_000))
-    durable = _best_cost(
-        lambda: Database.open(
-            tmp_path / f"tx-{next(counter)}", wal_sync="batch",
-        ),
-        _tx_ingest_cost,
-    )
-    overhead = durable / memory - 1.0
-
-    memory_single = _best_cost(lambda: Database("bench"), _single_op_cost)
-    durable_single = _best_cost(
-        lambda: Database.open(
-            tmp_path / f"single-{next(counter)}", wal_sync="batch",
-        ),
-        _single_op_cost,
-    )
-
-    print(f"\nbulk ingest, {TX_COUNT} transactions x {TX_ROWS} rows "
-          f"(best of {ROUNDS} rounds)")
+    print(f"\nbulk ingest, {TX_COUNT} transactions x {TX_ROWS} rows, "
+          f"CPU time (median of {WAL_PAIRS} paired rounds)")
     print(f"  in-memory      {memory * 1e6:7.2f} us/row")
     print(f"  batch WAL      {durable * 1e6:7.2f} us/row   "
           f"overhead {overhead:+7.1%}   "
           f"(gate: <= {WRITE_OVERHEAD_BUDGET:.0%})")
+    print("  per-round overhead: "
+          + " ".join(f"{r - 1.0:+.1%}" for r in ratios))
     print(f"  single-op frames (context, ungated): "
           f"{memory_single * 1e6:.2f} -> {durable_single * 1e6:.2f} us/op "
-          f"({durable_single / memory_single - 1.0:+.1%})")
+          f"({statistics.median(single_ratios) - 1.0:+.1%})")
 
     record("storage.batch_wal_overhead", overhead, WRITE_OVERHEAD_BUDGET,
            comparator="<=", unit="fraction")

@@ -13,6 +13,11 @@ rm -f "$CARCS_BENCH_RESULTS"
 python -m compileall -q src
 PYTHONPATH=src python -m pytest -x -q tests/
 
+# Benchmark harness self-check: each carbench workload runs its traced
+# pass at tiny sizes twice per seed; schedule digests and count-type
+# per-layer metrics must repeat exactly, and every run must be correct.
+python -m pytest -q carbench
+
 # Multi-process e2e: real `carcs serve` primary/replica/router
 # processes over loopback — replication, plus one trace id covering
 # router -> primary -> job worker (skipped by default; CI opts in).

@@ -44,7 +44,7 @@ import zlib
 from bisect import bisect_right
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .errors import RecoveryError
 
@@ -382,6 +382,20 @@ class PagedRows:
             dict(self._overlay), set(self._tombstones), set(self._new),
             self._count,
         )
+
+    def order_key(self) -> Callable[[Any], tuple]:
+        """A sort key ordering pks as :meth:`items` yields them: tier
+        rows by pk (blocks are pk-sorted and disjoint), then overlay-only
+        rows in overlay order.  Costs O(overlay) to build, no page-in."""
+        new = self._new
+        position = {pk: i for i, pk in
+                    enumerate(pk for pk in self._overlay if pk in new)}
+
+        def key(pk: Any) -> tuple:
+            i = position.get(pk)
+            return (0, pk) if i is None else (1, i)
+
+        return key
 
     def with_delta(self, delta: dict[Any, Any], tombstone: Any) -> "PagedRows":
         """A new frozen view with one MVCC delta folded in (snapshot

@@ -513,6 +513,10 @@ class Table:
         """
         if not equals:
             return [dict(r) for r in self._rows.values()]
+        return [dict(row) for row in self._matches(equals)]
+
+    def _matches(self, equals: dict[str, Any]) -> list[dict[str, Any]]:
+        """Stored rows (no copies) matching every ``column == value``."""
         for name in equals:
             self.schema.column(name)
         indexed = [c for c in equals if self.has_index(c)]
@@ -539,7 +543,7 @@ class Table:
         out = []
         for row in candidates:
             if all(row[c] == v for c, v in equals.items()):
-                out.append(dict(row))
+                out.append(row)
         return out
 
     def find_one(self, **equals: Any) -> dict[str, Any] | None:
@@ -549,7 +553,11 @@ class Table:
     def count(self, **equals: Any) -> int:
         if not equals:
             return len(self._rows)
-        return len(self.find(**equals))
+        if len(equals) == 1:
+            (column, value), = equals.items()
+            if self.has_index(column):
+                return self.eq_count(column, value)
+        return len(self._matches(equals))
 
     def column_values(self, column: str) -> list[Any]:
         self.schema.column(column)

@@ -27,6 +27,7 @@ from repro.core.material import CourseLevel, Material, MaterialKind
 from repro.core.ontology import BloomLevel
 from repro.core.repository import Repository
 from repro.core.search import SearchFilters
+from repro.db import query as db_query
 from repro.jobs import JobQueue, WorkerPool, default_handlers
 from repro.obs import (
     MetricsRegistry,
@@ -243,11 +244,21 @@ class CarCsApi:
             cs.add(ontology, key, bloom)
         return cs
 
-    def _collection_ids(self, collection: str) -> list[int]:
-        rows = self.repo.db.table("materials").find(collection=collection)
-        if not rows:
+    def _require_collection(self, collection: str) -> None:
+        """404 unless some material is in ``collection`` — an indexed
+        probe for one row, never a copy of the collection."""
+        if not db_query(self.repo.db, "materials").filter(
+            collection=collection
+        ).exists():
             raise HttpError(404, f"no materials in collection {collection!r}")
-        return sorted(r["id"] for r in rows)
+
+    def _collection_ids(self, collection: str) -> list[int]:
+        ids = db_query(self.repo.db, "materials").filter(
+            collection=collection
+        ).values("id")
+        if not ids:
+            raise HttpError(404, f"no materials in collection {collection!r}")
+        return sorted(ids)
 
     def _parse_search_request(self, request: Request):
         """Shared by ``/search`` and ``/assignments``: the ``q`` facet
@@ -581,7 +592,7 @@ class CarCsApi:
                 onto = self.repo.ontology(ontology)
             except KeyError as exc:
                 raise HttpError(404, str(exc))
-            self._collection_ids(collection)  # 404 on unknown collection
+            self._require_collection(collection)
             report = self.repo.coverage(ontology, collection=collection)
             return json_response({
                 "collection": collection,
@@ -633,8 +644,8 @@ class CarCsApi:
                 onto = self.repo.ontology(ontology)
             except KeyError as exc:
                 raise HttpError(404, str(exc))
-            self._collection_ids(reference)
-            self._collection_ids(candidate)
+            self._require_collection(reference)
+            self._require_collection(candidate)
             ref = self.repo.coverage(ontology, collection=reference)
             cand = self.repo.coverage(ontology, collection=candidate)
             report = find_gaps(

@@ -342,7 +342,7 @@ def register_v2(api: "CarCsApi") -> None:
             onto = repo.ontology(ontology)
         except KeyError as exc:
             raise HttpError(404, str(exc))
-        api._collection_ids(collection)  # 404 on unknown collection
+        api._require_collection(collection)
         report = repo.coverage(ontology, collection=collection)
         return json_response({
             "collection": collection,
@@ -398,8 +398,8 @@ def register_v2(api: "CarCsApi") -> None:
             onto = repo.ontology(ontology)
         except KeyError as exc:
             raise HttpError(404, str(exc))
-        api._collection_ids(reference)
-        api._collection_ids(candidate)
+        api._require_collection(reference)
+        api._require_collection(candidate)
         ref = repo.coverage(ontology, collection=reference)
         cand = repo.coverage(ontology, collection=candidate)
         report = find_gaps(

@@ -200,3 +200,118 @@ class TestSerialization:
     def test_unsupported_format_rejected(self):
         with pytest.raises(ValueError):
             restore_database({"format": 99, "tables": []})
+
+
+class _ScanCounter(dict):
+    """A snapshot base that counts every full iteration over it."""
+
+    scans = 0
+
+    def items(self):
+        _ScanCounter.scans += 1
+        return super().items()
+
+    def keys(self):
+        _ScanCounter.scans += 1
+        return super().keys()
+
+    def values(self):
+        _ScanCounter.scans += 1
+        return super().values()
+
+    def __iter__(self):
+        _ScanCounter.scans += 1
+        return super().__iter__()
+
+
+class TestIndexSurvivesCommits:
+    def test_probe_after_each_commit_never_rescans_the_base(self, monkeypatch):
+        from repro.db.snapshot import _BaseIndex
+
+        db = Database("guard")
+        db.create_table(TableSchema("links", columns=(
+            Column("id", int), Column("mat", int),
+        )))
+        db.table("links").create_index("mat")
+        with db.transaction():
+            for i in range(10_000):
+                db.insert("links", mat=i % 500)
+        # Re-base the published version on a counting copy of its rows.
+        snap = db.snapshot().table("links")
+        base = _ScanCounter(snap._base)
+        snap._base, snap._index = base, _BaseIndex(base)
+        item_scans = []
+        original = TableSnapshot._items
+        monkeypatch.setattr(
+            TableSnapshot, "_items",
+            lambda self: item_scans.append(1) or original(self))
+
+        assert len(snap.eq_pks("mat", 7)) == 20  # warms the base index
+        assert _ScanCounter.scans == 1
+        for i in range(200):
+            if i % 4 == 3:
+                db.update("links", i + 1, mat=(i + 3) % 500)  # value moves
+            elif i % 4 == 2:
+                db.delete("links", 10_000 - i)
+            else:
+                db.insert("links", mat=i % 500)
+            fresh = db.snapshot().table("links")
+            assert fresh._base is base  # 200 commits stay below consolidation
+            value = i % 500
+            live = db._tables["links"].eq_pks("mat", value)
+            assert sorted(fresh.eq_pks("mat", value)) == sorted(live)
+            assert fresh.count(mat=value) == len(live)
+        assert _ScanCounter.scans == 1
+        assert item_scans == []
+
+    def test_concurrent_readers_share_base_indexes_with_a_writer(self):
+        # Readers build and probe the shared base index while the writer
+        # commits, consolidates and derives new bases from it.
+        import sys
+
+        db = Database("stress")
+        db.create_table(TableSchema("links", columns=(
+            Column("id", int), Column("mat", int),
+        )))
+        db.table("links").create_index("mat")
+        for i in range(200):
+            db.insert("links", mat=i % 7)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def reader() -> None:
+            try:
+                while not stop.is_set():
+                    snap = db.snapshot().table("links")
+                    for value in range(7):
+                        want = [pk for pk, row in snap._items()
+                                if row["mat"] == value]
+                        assert list(snap.eq_pks("mat", value)) == want
+                        assert snap.count(mat=value) == len(want)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for t in threads:
+                t.start()
+            for i in range(600):
+                if errors:
+                    break
+                if i % 3 == 0:
+                    db.delete("links", db.table("links").pks()[0])
+                elif i % 3 == 1:
+                    db.update("links", db.table("links").pks()[-1],
+                              mat=i % 7)
+                else:
+                    db.insert("links", mat=i % 7)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(WAIT)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
