@@ -18,7 +18,7 @@ from repro.web import CarCsApi, Client
 
 @pytest.fixture(scope="module")
 def client(repo):
-    return Client(CarCsApi(repo), root="/api/v1")
+    return Client(CarCsApi(repo), root="/api/v2")
 
 
 _counter = itertools.count()
@@ -27,7 +27,7 @@ _counter = itertools.count()
 def test_create_material_roundtrip(benchmark, client):
     def create():
         n = next(_counter)
-        response = client.post("/assignments", body={
+        response = client.post("/materials", body={
             "title": f"Bench material {n}",
             "description": "parallel loops with OpenMP over arrays",
             "collection": "bench",
@@ -66,7 +66,7 @@ def test_similarity_resource(benchmark, client):
 
 
 def test_text_search_endpoint(benchmark, client):
-    response = benchmark(client.get, "/assignments?q=fractal+zoom&limit=5")
+    response = benchmark(client.get, "/materials?q=fractal+zoom&limit=5")
     assert response.ok
     titles = [r["title"] for r in response.json()["items"]]
     assert any("Fractal" in t for t in titles)

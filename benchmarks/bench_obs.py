@@ -45,8 +45,8 @@ from repro.web import CarCsApi, FrontTier, HttpBackend, LocalBackend
 from repro.web.http import Request
 from repro.web.server import ApiServer
 
-SEARCH = "/api/v1/search?q=monte+carlo&limit=10"
-COVERAGE = "/api/v1/coverage?collection=itcs3145&ontology=PDC12"
+SEARCH = "/api/v2/search?q=monte+carlo&limit=10"
+COVERAGE = "/api/v2/coverage?collection=itcs3145&ontology=PDC12"
 
 MODES = (MODE_OFF, MODE_SAMPLED, MODE_ALL)
 ROUNDS = max(1, int(os.environ.get("CARCS_BENCH_OBS_ROUNDS", "60")))

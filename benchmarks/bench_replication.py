@@ -21,7 +21,7 @@ aggregate-throughput ratio *spread / single*:
 
 **Gate B — bounded staleness.**  One writer commits through the
 primary for a sustained window while each replica's
-``/api/v1/replication`` is sampled continuously.  The gate:
+``/api/v2/replication`` is sampled continuously.  The gate:
 ``lag_seconds`` stays **<= 2.0** at every sample, and every replica
 converges (``lag_versions == 0``) within 10 s of the last write.
 
@@ -112,7 +112,7 @@ class _Topology:
             "serve", "--primary", "--host", "127.0.0.1",
             "--port", str(primary_port), "--repl-port", str(self.repl_port),
         ))
-        _wait_http(f"{self.primary_url}/api/v1/healthz", deadline)
+        _wait_http(f"{self.primary_url}/api/v2/healthz", deadline)
         self.replica_urls: list[str] = []
         for _ in range(REPLICAS):
             port = _free_port()
@@ -123,20 +123,20 @@ class _Topology:
             ))
             self.replica_urls.append(f"http://127.0.0.1:{port}")
         for url in self.replica_urls:
-            _wait_http(f"{url}/api/v1/healthz", deadline)
+            _wait_http(f"{url}/api/v2/healthz", deadline)
         # One known row for the point-read workload, visible fleet-wide.
         _, created = _http(
-            "POST", f"{self.primary_url}/api/v1/assignments",
+            "POST", f"{self.primary_url}/api/v2/materials",
             body={"title": "bench target"},
         )
         self.target_id = created["id"]
         self.wait_converged(time.time() + BOOT_TIMEOUT)
 
     def wait_converged(self, deadline: float) -> None:
-        _, primary = _http("GET", f"{self.primary_url}/api/v1/replication")
+        _, primary = _http("GET", f"{self.primary_url}/api/v2/replication")
         for url in self.replica_urls:
             while time.time() < deadline:
-                _, status = _http("GET", f"{url}/api/v1/replication")
+                _, status = _http("GET", f"{url}/api/v2/replication")
                 if (status["connected"]
                         and status["applied_version"] >= primary["version"]):
                     break
@@ -169,7 +169,7 @@ def _read_throughput(topology, targets: list[str]) -> float:
 
     def client(i: int) -> None:
         url = (f"{targets[i % len(targets)]}"
-               f"/api/v1/assignments/{topology.target_id}")
+               f"/api/v2/materials/{topology.target_id}")
         while not stop.is_set():
             try:
                 with urllib.request.urlopen(url, timeout=10) as resp:
@@ -229,7 +229,7 @@ class TestBoundedStaleness:
             while not stop.is_set():
                 try:
                     _http("POST",
-                          f"{topology.primary_url}/api/v1/assignments",
+                          f"{topology.primary_url}/api/v2/materials",
                           body={"title": f"staleness-{writes[0]}"})
                 except Exception as exc:  # noqa: BLE001
                     write_errors.append(exc)
@@ -242,7 +242,7 @@ class TestBoundedStaleness:
         deadline = time.time() + WRITE_WINDOW
         while time.time() < deadline:
             for url in topology.replica_urls:
-                _, status = _http("GET", f"{url}/api/v1/replication")
+                _, status = _http("GET", f"{url}/api/v2/replication")
                 samples.append(status["lag_seconds"])
             time.sleep(0.05)
         stop.set()

@@ -336,7 +336,7 @@ def test_http_request_throughput(threaded):
     a cached analytics endpoint, serial vs threaded accept loop."""
     repo = seed_all()
     with ApiServer(CarCsApi(repo), port=0, threaded=threaded) as srv:
-        url = f"{srv.url}/api/v1/coverage?collection=itcs3145&ontology=PDC12"
+        url = f"{srv.url}/api/v2/coverage?collection=itcs3145&ontology=PDC12"
         urllib.request.urlopen(url, timeout=30).read()  # warm the cache
         elapsed, completed = _hammer(
             url, HTTP_CLIENTS, HTTP_REQUESTS_PER_CLIENT

@@ -126,7 +126,7 @@ def test_overload_sheds_while_served_p99_holds():
     barrier = threading.Barrier(WORKERS)
 
     def worker() -> None:
-        client = Client(api, root="/api/v1")
+        client = Client(api, root="/api/v2")
         headers = {CLIENT_HEADER: "bench"}  # one shared bucket
         barrier.wait()
         for i in range(REQUESTS_PER_WORKER):

@@ -16,10 +16,10 @@ from repro.web import CarCsApi, Client
 
 def main() -> None:
     repo = seeded_repository()
-    client = Client(CarCsApi(repo), root="/api/v1")
+    client = Client(CarCsApi(repo), root="/api/v2")
 
     print("Step 1 — create the material (Figure 1a metadata form)")
-    created = client.post("/assignments", body={
+    created = client.post("/materials", body={
         "title": "Parallel Wave Equation",
         "description": (
             "Propagate a 1D wave with a finite-difference stencil, then "
@@ -60,14 +60,14 @@ def main() -> None:
     ]
     for onto, key in chosen:
         response = client.post(
-            f"/assignments/{material['id']}/classifications",
+            f"/materials/{material['id']}/classifications",
             body={"ontology": onto, "key": key, "bloom": "apply" if onto == "PDC12" else None},
         )
         assert response.ok, response.text()
         print(f"  + {key}")
 
     print("\nStep 4 — let the system suggest what else commonly co-occurs")
-    suggestions = client.post("/recommend", body={
+    suggestions = client.post("/recommendations", body={
         "text": material["description"],
         "selected": [key for _, key in chosen],
         "top": 6,
@@ -76,7 +76,7 @@ def main() -> None:
         print(f"  suggested ({s['score']:.2f}): {s['key']}")
 
     print("\nStep 5 — the finished record")
-    final = client.get(f"/assignments/{material['id']}").json()
+    final = client.get(f"/materials/{material['id']}").json()
     print(f"  {final['title']} — {len(final['classifications'])} classifications")
     for c in final["classifications"]:
         print(f"    {c['ontology']:6s} {c['key']}"

@@ -394,12 +394,12 @@ def _fleet_members(base: str):
     """Resolve what ``carcs top`` watches: ``(router status | None,
     [(member name, base url), ...])``.
 
-    Pointed at a front tier, ``/api/v1/fleet`` names the primary and
+    Pointed at a front tier, ``/api/v2/fleet`` names the primary and
     every replica (with URLs); pointed at a single node — or when the
     fleet endpoint is unreachable — the URL itself is the one member.
     """
     try:
-        fleet = _fetch_json(f"{base}/api/v1/fleet")
+        fleet = _fetch_json(f"{base}/api/v2/fleet")
     except Exception:  # noqa: BLE001 — not a router; treat as one node
         return None, [("node", base)]
     members = []

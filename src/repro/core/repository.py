@@ -802,7 +802,7 @@ class Repository:
     def recommender(self):
         """A fitted :class:`~repro.core.recommend.HybridRecommender`,
         memoized until the classification tables mutate (fitting is the
-        dominant cost of the ``/recommend`` endpoint)."""
+        dominant cost of the ``/recommendations`` endpoint)."""
         from .recommend import HybridRecommender
 
         return self.cache.get_or_compute(

@@ -167,7 +167,7 @@ class SearchEngine:
 
     def stats(self) -> dict[str, int]:
         """Numeric maintenance/size counters (``Repository.stats`` merges
-        these under a ``search_`` prefix; ``/api/v1/metrics`` re-exports
+        these under a ``search_`` prefix; ``/api/v2/metrics`` re-exports
         them as gauges)."""
         out = {
             "full_rebuilds": self.full_rebuilds,

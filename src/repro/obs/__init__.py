@@ -9,8 +9,8 @@ gauges, fixed-bucket latency histograms — all thread-safe), a
 by request id, and a :class:`Tracer` producing hierarchical per-request
 :class:`Span` trees that attribute latency across the web → core → db
 layers.  The web middleware chain feeds all three; ``GET
-/api/v1/metrics`` exports the registry (JSON or Prometheus text) and
-``GET /api/v1/traces`` pages over retained traces.
+/api/v2/metrics`` exports the registry (JSON or Prometheus text) and
+``GET /api/v2/traces`` pages over retained traces.
 """
 
 from .logging import RequestLog, new_request_id

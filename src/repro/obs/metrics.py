@@ -2,7 +2,7 @@
 
 Deliberately Prometheus-shaped (names + label sets, cumulative-bucket
 histograms) but dependency-free and JSON-exportable, so the registry can
-be served straight from ``GET /api/v1/metrics`` and scraped, diffed or
+be served straight from ``GET /api/v2/metrics`` and scraped, diffed or
 asserted on in tests.  All mutation goes through per-metric locks; the
 registry itself locks only metric creation, so hot-path increments never
 contend on a global lock.
@@ -180,7 +180,7 @@ class Histogram:
 class MetricsRegistry:
     """Named, labelled metrics with get-or-create semantics.
 
-    ``registry.counter("http_requests_total", route="GET /api/v1/stats",
+    ``registry.counter("http_requests_total", route="GET /api/v2/stats",
     status="2xx").inc()`` — the (name, labels) pair identifies the series;
     re-registering the same series with a different metric kind raises.
     """
@@ -253,7 +253,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     Histograms expand to cumulative ``_bucket`` series (``le`` upper
     bounds, ``+Inf`` last) plus ``_sum``/``_count``; label values are
     escaped so routes containing quotes or newlines stay parseable.
-    Served by ``GET /api/v1/metrics?format=prometheus``.
+    Served by ``GET /api/v2/metrics?format=prometheus``.
     """
     lines: list[str] = []
     typed: set[str] = set()

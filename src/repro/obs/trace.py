@@ -37,8 +37,8 @@ Design rules, in overhead order:
   traces you need most never fall to the sampler.
 * **Completed traces are bounded.**  The thread-safe
   :class:`TraceStore` keeps the newest ``capacity`` retained traces;
-  ``GET /api/v1/traces`` pages over summaries and
-  ``GET /api/v1/traces/<id>`` returns the full span tree.
+  ``GET /api/v2/traces`` pages over summaries and
+  ``GET /api/v2/traces/<id>`` returns the full span tree.
 * **Context propagates across processes.**  A W3C-``traceparent``-style
   header (``00-<trace id>-<span id>-01``) carries the active span's
   identity over every proxied hop: the front tier injects it
@@ -756,7 +756,7 @@ class TraceStore:
             ]
 
     def summaries(self) -> list[dict[str, Any]]:
-        """Newest-first summary dicts (the ``/api/v1/traces`` payload)."""
+        """Newest-first summary dicts (the ``/api/v2/traces`` payload)."""
         return [r.summary() for r in self.records()]
 
     def records(self) -> list[TraceRecord]:
@@ -869,7 +869,7 @@ class Tracer:
         contains it (the metrics↔traces cross-reference).
 
         Derived from the store on read, so every exemplar is actually
-        retrievable via ``/api/v1/traces/<id>`` — an id is never left
+        retrievable via ``/api/v2/traces/<id>`` — an id is never left
         dangling after its trace is evicted — and the request hot path
         pays nothing for it.
         """

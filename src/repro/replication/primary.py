@@ -278,7 +278,7 @@ class PrimaryShipper:
     # -- observability -----------------------------------------------------
 
     def status(self) -> dict[str, Any]:
-        """The ``/api/v1/replication`` payload on a primary node."""
+        """The ``/api/v2/replication`` payload on a primary node."""
         with self._cond:
             retained = len(self._frames)
             floor = self._floor

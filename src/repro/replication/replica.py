@@ -282,7 +282,7 @@ class ReplicaApplier:
         return max(0.0, time.time() - behind_since)
 
     def status(self) -> dict[str, Any]:
-        """The ``/api/v1/replication`` payload on a replica node."""
+        """The ``/api/v2/replication`` payload on a replica node."""
         host, port = self.address
         return {
             "role": self.role,

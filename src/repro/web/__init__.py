@@ -1,6 +1,6 @@
 """In-process REST substrate (replaces the paper's Django/Heroku stack)."""
 
-from .api import API_PREFIX, API_V2_PREFIX, CarCsApi
+from .api import API_V2_PREFIX, CarCsApi
 from .client import Client
 from .front import BackendError, FrontTier, HttpBackend, LocalBackend
 from .http import (
@@ -34,7 +34,6 @@ from .router import Route, Router
 from .server import ApiServer
 
 __all__ = [
-    "API_PREFIX",
     "API_V2_PREFIX",
     "AdmissionMiddleware",
     "ApiServer",

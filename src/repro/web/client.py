@@ -4,7 +4,7 @@ Plays the role of the jQuery front end's asynchronous calls: build a
 :class:`~repro.web.http.Request`, dispatch it through the application,
 return the :class:`~repro.web.http.Response` — no network involved.
 
-Pass ``root="/api/v1"`` to pin the client to the versioned surface;
+Pass ``root="/api/v2"`` to prefix every path with the API surface;
 error responses expose the uniform envelope via ``response.error``
 (``{"code", "message", "request_id"}``).
 """
@@ -20,8 +20,8 @@ class Client:
     """Convenience wrapper over an application callable.
 
     ``root`` is prefixed onto every path-absolute URL, so
-    ``Client(app, root="/api/v1").get("/stats")`` requests
-    ``/api/v1/stats``.
+    ``Client(app, root="/api/v2").get("/stats")`` requests
+    ``/api/v2/stats``.
     """
 
     def __init__(self, app: Callable[[Request], Response],

@@ -9,7 +9,7 @@ ApiServer` adapter as a single node.  It routes by method:
   keep serving from the replicas.
 * **Reads** fan out round-robin across healthy replicas.  A replica that
   fails at the transport level is **evicted** from the rotation and
-  probed via its ``/api/v1/replication`` status after a cooldown;
+  probed via its ``/api/v2/replication`` status after a cooldown;
   it is re-admitted once it reports connected with bounded lag.
 
 **Session guarantees.**  Clients that send an ``x-carcs-session``
@@ -23,7 +23,7 @@ guarantee beyond each node's own snapshot consistency.
 
 Every response is stamped with ``x-carcs-backend`` and
 ``x-carcs-served-by`` naming the node that served it (the latter also
-covers answers the router authors itself).  ``GET /api/v1/fleet``
+covers answers the router authors itself).  ``GET /api/v2/fleet``
 answers from the front tier itself with per-backend health, eviction
 state and session-table size.
 
@@ -52,8 +52,15 @@ from repro.obs import trace as _trace
 
 from repro.obs import MetricsRegistry, Tracer
 
+from .api import API_V2_PREFIX
 from .http import Request, Response, error_response, json_response
 from .middleware import DEADLINE_HEADER, AdmissionMiddleware, backpressure_response
+
+#: The router's own status resource (answered without a backend hop).
+FLEET_PATH = f"{API_V2_PREFIX}/fleet"
+
+#: Replication status an evicted replica is probed on before re-admission.
+PROBE_PATH = f"{API_V2_PREFIX}/replication"
 
 #: Method → forwarded to the primary (everything else is a read).
 MUTATING_METHODS = frozenset({"POST", "PUT", "PATCH", "DELETE"})
@@ -199,7 +206,7 @@ class FrontTier:
             rate_limit=rate_limit,
             rate_burst=rate_burst,
             max_inflight=max_inflight,
-            exempt=AdmissionMiddleware.DEFAULT_EXEMPT + ("/api/v1/fleet",),
+            exempt=AdmissionMiddleware.DEFAULT_EXEMPT + (FLEET_PATH,),
         )
         #: The router's own process label in stitched traces and its
         #: ``x-carcs-served-by`` stamp on self-served answers.
@@ -209,7 +216,7 @@ class FrontTier:
         self._rr = 0
         self._sessions: OrderedDict[str, int] = OrderedDict()
         self._lock = threading.Lock()
-        # Counters for /api/v1/fleet.
+        # Counters for /api/v2/fleet.
         self.reads = 0
         self.writes = 0
         self.primary_errors = 0
@@ -278,11 +285,11 @@ class FrontTier:
     def _route(self, request: Request) -> Response:
         if request.method == "GET":
             path = request.path.rstrip("/")
-            if path == "/api/v1/fleet":
+            if path == FLEET_PATH:
                 response = json_response(self.status())
                 response.headers.setdefault(SERVED_BY_HEADER, self.name)
                 return response
-            trace_prefix = "/api/v2/traces/"
+            trace_prefix = f"{API_V2_PREFIX}/traces/"
             if path.startswith(trace_prefix) and path[len(trace_prefix):]:
                 response = self._stitched_trace(
                     request, path[len(trace_prefix):]
@@ -394,7 +401,7 @@ class FrontTier:
         for backend in backends:
             try:
                 resp = backend.request(
-                    Request(method="GET", path=f"/api/v2/traces/{trace_id}")
+                    Request(method="GET", path=f"{API_V2_PREFIX}/traces/{trace_id}")
                 )
             except BackendError:
                 members.append({
@@ -472,7 +479,7 @@ class FrontTier:
         for slot in due:
             try:
                 probe = slot.backend.request(
-                    Request(method="GET", path="/api/v1/replication")
+                    Request(method="GET", path=PROBE_PATH)
                 )
             except BackendError:
                 continue

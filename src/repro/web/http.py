@@ -41,9 +41,8 @@ class Request:
     # Stamped by the request-id middleware before dispatch.
     request_id: str = ""
     # Filled by the router on a match: the canonical route pattern (the
-    # low-cardinality label metrics aggregate on) and its deprecation flag.
+    # low-cardinality label metrics aggregate on).
     route_pattern: str | None = None
-    route_deprecated: bool = False
 
     @classmethod
     def build(
@@ -146,7 +145,7 @@ def text_response(
 
 
 def error_response(status: int, message: str, request_id: str = "") -> Response:
-    """The uniform v1 error envelope.
+    """The uniform error envelope.
 
     Every 4xx/5xx the API emits has this shape; the request-id middleware
     fills ``request_id`` in for envelopes created below it in the chain.

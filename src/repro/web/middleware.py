@@ -106,7 +106,7 @@ def compose(middlewares: Sequence[Middleware], endpoint: Handler) -> Handler:
 
 
 def route_label(request: Request) -> str:
-    """Low-cardinality metrics label: ``"GET /api/v1/assignments/<int:id>"``."""
+    """Low-cardinality metrics label: ``"GET /api/v2/materials/<int:id>"``."""
     return f"{request.method} {request.route_pattern or UNMATCHED}"
 
 
@@ -215,8 +215,8 @@ class AdmissionMiddleware:
     """
 
     #: Paths that must answer even under overload (operators debugging
-    #: the overload need them).
-    DEFAULT_EXEMPT = ("/api/v1/healthz", "/api/v1/metrics")
+    #: the overload need them); a trailing slash matches, as in routing.
+    DEFAULT_EXEMPT = ("/api/v2/healthz", "/api/v2/metrics")
 
     def __init__(self, metrics: MetricsRegistry | None = None, *,
                  rate_limit: float | None = None,
@@ -307,7 +307,7 @@ class AdmissionMiddleware:
     # -- the middleware ----------------------------------------------------
 
     def __call__(self, request: Request, call_next: Handler) -> Response:
-        if request.path in self.exempt:
+        if request.path.rstrip("/") in self.exempt:
             return call_next(request)
 
         budget = self.parse_deadline(request.header(DEADLINE_HEADER))
@@ -616,8 +616,8 @@ class ConditionalGetMiddleware:
 
     ``exempt`` paths (metrics, health, traces) change without a
     repository mutation, so they never 304.  Each exempt entry also
-    covers everything nested under it (``/api/v1/traces`` exempts
-    ``/api/v1/traces/<id>``)."""
+    covers everything nested under it (``/api/v2/traces`` exempts
+    ``/api/v2/traces/<id>``)."""
 
     def __init__(self, etag_fn: Callable[[], str],
                  exempt: Iterable[str] = ()) -> None:

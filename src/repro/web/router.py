@@ -1,15 +1,11 @@
 """URL routing with typed path parameters.
 
-Routes are declared as ``"/assignments/<int:id>"``-style patterns; the
+Routes are declared as ``"/materials/<int:id>"``-style patterns; the
 router dispatches (method, path) to the first matching handler, filling
 ``request.params`` with *converted* values — an ``<int:id>`` segment
 arrives as an ``int``, so handlers never re-cast by hand.  Unknown paths
 yield 404, known paths with the wrong method yield 405 — the behaviours
 REST clients depend on.
-
-A route may be registered as ``deprecated`` (the unprefixed aliases of
-the ``/api/v1`` surface): it still dispatches, but every response gains
-a ``Deprecation: true`` header so clients can spot their stale paths.
 """
 
 from __future__ import annotations
@@ -56,10 +52,6 @@ class Route:
     regex: re.Pattern
     types: dict[str, str]
     handler: Handler
-    deprecated: bool = False
-    #: RFC 8594 ``Sunset`` header value (an HTTP-date) announcing when
-    #: the route is scheduled to disappear; ``None`` for none.
-    sunset: str | None = None
 
 
 class Router:
@@ -68,22 +60,18 @@ class Router:
     def __init__(self) -> None:
         self._routes: list[Route] = []
 
-    def add(self, method: str, pattern: str, handler: Handler, *,
-            deprecated: bool = False, sunset: str | None = None) -> None:
+    def add(self, method: str, pattern: str, handler: Handler) -> None:
         regex, types = _compile(pattern)
         self._routes.append(Route(
             method=method.upper(), pattern=pattern, regex=regex,
-            types=types, handler=handler, deprecated=deprecated,
-            sunset=sunset,
+            types=types, handler=handler,
         ))
 
-    def route(self, method: str, pattern: str, *,
-              deprecated: bool = False, sunset: str | None = None):
+    def route(self, method: str, pattern: str):
         """Decorator form: ``@router.route("GET", "/things/<int:id>")``."""
 
         def register(handler: Handler) -> Handler:
-            self.add(method, pattern, handler,
-                     deprecated=deprecated, sunset=sunset)
+            self.add(method, pattern, handler)
             return handler
 
         return register
@@ -102,18 +90,12 @@ class Router:
                 for name, value in match.groupdict().items()
             }
             request.route_pattern = route.pattern
-            request.route_deprecated = route.deprecated
             try:
-                response = route.handler(request)
+                return route.handler(request)
             except HttpError as exc:
-                response = error_response(
+                return error_response(
                     exc.status, exc.message, request.request_id
                 )
-            if route.deprecated:
-                response.headers.setdefault("deprecation", "true")
-            if route.sunset is not None:
-                response.headers.setdefault("sunset", route.sunset)
-            return response
         if path_matched:
             return error_response(
                 405, f"method {request.method} not allowed", request.request_id

@@ -90,7 +90,7 @@ class ApiServer:
     Use as a context manager in tests::
 
         with ApiServer(app, port=0) as server:
-            urllib.request.urlopen(f"http://127.0.0.1:{server.port}/stats")
+            urllib.request.urlopen(f"http://127.0.0.1:{server.port}/api/v2/stats")
     """
 
     def __init__(

@@ -1,14 +1,9 @@
 """The ``/api/v2`` surface: resources, cursors, and async jobs.
 
-v1 grew handler-by-handler around the paper's Heroku prototype and
-shows it: materials live under ``/assignments``, classification edits
-are verbs on that path, recommendation is ``POST /recommend``, and
-every list paginates by raw ``offset`` arithmetic.  v2 is the
-resource-oriented redesign:
+The resource-oriented design of the paper's prototype API:
 
-* **Nouns, uniformly.**  ``/materials`` (not ``/assignments``),
-  ``/materials/<id>/classifications`` as a proper sub-resource,
-  ``POST /recommendations``.
+* **Nouns, uniformly.**  ``/materials``, ``/materials/<id>/classifications``
+  as a proper sub-resource, ``POST /recommendations``.
 * **Opaque cursors.**  Every list answers the envelope
   ``{"items", "total", "limit", "next_cursor"}``; clients hand
   ``next_cursor`` back as ``?cursor=`` instead of computing offsets.
@@ -21,18 +16,20 @@ resource-oriented redesign:
   classification tables.
 * **Creation answers ``Location``.**  ``POST /materials`` (201) points
   at the new resource, as does the 202 above.
-
-v1 keeps serving as a byte-identical compatibility shim carrying an
-RFC 8594 ``Sunset`` header; see ``docs/api.md`` for the migration
-table.
+* **Malformed bodies answer 400.**  A field of the wrong type is the
+  client's error, never a 500 from deep in the stack.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.core.classification import ClassificationSet
 from repro.core.material import CourseLevel, Material, MaterialKind
-from repro.db.errors import RowNotFound
+from repro.core.ontology import BloomLevel
+from repro.core.repository import Repository
+from repro.db import query as db_query
+from repro.db.errors import RowNotFound, SchemaError
 from repro.jobs import QueueFull, unclassified_material_ids
 from repro.obs import trace as _trace
 
@@ -75,16 +72,131 @@ def _suggestion_payload(row: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def _material_payload(repo: Repository, material: Material) -> dict[str, Any]:
+    assert material.id is not None
+    cs = repo.classification_of(material.id)
+    return {
+        "id": material.id,
+        "title": material.title,
+        "description": material.description,
+        "kind": material.kind.value,
+        "authors": list(material.authors),
+        "url": material.url,
+        "course_level": material.course_level.value if material.course_level else None,
+        "languages": list(material.languages),
+        "datasets": list(material.datasets),
+        "tags": list(material.tags),
+        "collection": material.collection,
+        "year": material.year,
+        "classifications": [
+            {"ontology": item.ontology, "key": item.key,
+             "bloom": item.bloom.value if item.bloom else None}
+            for item in cs.items()
+        ],
+    }
+
+
+def _material_or_404(repo: Repository, request: Request) -> Material:
+    mid = request.params["id"]
+    try:
+        return repo.get_material(mid)
+    except Exception:
+        raise HttpError(404, f"no material with id {mid}")
+
+
+def _parse_classification(raw: Any) -> ClassificationSet:
+    if not isinstance(raw, list):
+        raise HttpError(400, "'classifications' must be a list")
+    cs = ClassificationSet()
+    for entry in raw:
+        try:
+            ontology = entry["ontology"]
+            key = entry["key"]
+        except (TypeError, KeyError):
+            raise HttpError(400, "classification entries need 'ontology' and 'key'")
+        bloom = None
+        if entry.get("bloom"):
+            try:
+                bloom = BloomLevel(entry["bloom"])
+            except ValueError:
+                raise HttpError(400, f"unknown bloom level {entry['bloom']!r}")
+        cs.add(ontology, key, bloom)
+    return cs
+
+
+def _require_collection(repo: Repository, collection: str) -> None:
+    """404 unless some material is in ``collection`` — an indexed
+    probe for one row, never a copy of the collection."""
+    if not db_query(repo.db, "materials").filter(
+        collection=collection
+    ).exists():
+        raise HttpError(404, f"no materials in collection {collection!r}")
+
+
+def _collection_ids(repo: Repository, collection: str) -> list[int]:
+    ids = db_query(repo.db, "materials").filter(
+        collection=collection
+    ).values("id")
+    if not ids:
+        raise HttpError(404, f"no materials in collection {collection!r}")
+    return sorted(ids)
+
+
+def _parse_search_request(request: Request):
+    """Shared by ``/search`` and ``/materials``: the ``q`` facet
+    query language plus the ``collection``/``under`` shorthand
+    parameters, folded into one (text, filters) pair."""
+    from dataclasses import replace
+
+    from ..core.query_language import QuerySyntaxError, parse_query
+
+    try:
+        parsed = parse_query(request.query_one("q", "") or "")
+    except QuerySyntaxError as exc:
+        raise HttpError(400, str(exc))
+    filters = parsed.filters
+    collection = request.query_one("collection")
+    if collection:
+        filters = replace(
+            filters, collections=filters.collections + (collection,)
+        )
+    under = request.query_one("under")
+    if under:
+        filters = replace(filters, under=filters.under + (under,))
+    return parsed.text, filters
+
+
+def _str_tuple(body: dict[str, Any], name: str) -> tuple[str, ...]:
+    """``body[name]`` as a tuple of strings (empty when absent); 400
+    on any other shape."""
+    raw = body.get(name, ())
+    if (not isinstance(raw, (list, tuple))
+            or not all(isinstance(v, str) for v in raw)):
+        raise HttpError(400, f"{name!r} must be a list of strings")
+    return tuple(raw)
+
+
+def _int_field(body: dict[str, Any], name: str,
+               default: int | None = None) -> int | None:
+    """``body[name]`` as an int (``default`` when absent); 400 on a
+    value that is not one."""
+    raw = body.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise HttpError(400, f"{name!r} must be an integer")
+
+
 def register_v2(api: "CarCsApi") -> None:
     """Mount the v2 resource routes on ``api.router``.
 
-    Reuses the api object's helpers (``_material_or_404`` etc.) so v1
-    and v2 share one behaviour for parsing and lookups while the
-    *shapes* diverge.  The ops endpoints (healthz/metrics/traces/
-    replication) are mounted by ``CarCsApi._register`` since their
-    closures live there.
+    The ops endpoints (healthz/metrics/replication/slo/traces) are
+    mounted by ``CarCsApi._register_ops`` since their closures live
+    there.
     """
-    from .api import API_V2_PREFIX, _material_payload
+    from .api import API_V2_PREFIX
 
     router = api.router
     repo = api.repo
@@ -103,7 +215,6 @@ def register_v2(api: "CarCsApi") -> None:
             "routes": [
                 {"method": r.method, "path": r.pattern}
                 for r in router.routes()
-                if not r.deprecated and r.pattern.startswith(prefix)
             ],
         })
 
@@ -111,7 +222,7 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("GET", "/materials")
     def list_materials(request: Request) -> Response:
-        text, filters = api._parse_search_request(request)
+        text, filters = _parse_search_request(request)
         hits = api._search.search(
             text, filters, limit=max(repo.material_count(), 1),
         )
@@ -133,24 +244,24 @@ def register_v2(api: "CarCsApi") -> None:
                 title=body["title"],
                 description=body.get("description", ""),
                 kind=MaterialKind(body.get("kind", "assignment")),
-                authors=tuple(body.get("authors", ())),
+                authors=_str_tuple(body, "authors"),
                 url=body.get("url", ""),
                 course_level=(
                     CourseLevel(body["course_level"])
                     if body.get("course_level") else None
                 ),
-                languages=tuple(body.get("languages", ())),
-                datasets=tuple(body.get("datasets", ())),
-                tags=tuple(body.get("tags", ())),
+                languages=_str_tuple(body, "languages"),
+                datasets=_str_tuple(body, "datasets"),
+                tags=_str_tuple(body, "tags"),
                 collection=body.get("collection", ""),
                 year=body.get("year"),
             )
         except ValueError as exc:
             raise HttpError(400, str(exc))
-        cs = api._parse_classification(body.get("classifications", []))
+        cs = _parse_classification(body.get("classifications", []))
         try:
             stored = repo.add_material(material, cs)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, SchemaError) as exc:
             raise HttpError(400, str(exc))
         response = json_response(
             _material_payload(repo, stored), status=201,
@@ -160,12 +271,12 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("GET", "/materials/<int:id>")
     def get_material(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         return json_response(_material_payload(repo, material))
 
     @route("PATCH", "/materials/<int:id>")
     def update_material(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         body = request.json()
         allowed = {"title", "description", "url", "collection", "year"}
         changes = {k: v for k, v in body.items() if k in allowed}
@@ -174,12 +285,15 @@ def register_v2(api: "CarCsApi") -> None:
                 400, f"nothing to update; allowed: {sorted(allowed)}"
             )
         assert material.id is not None
-        updated = repo.update_material(material.id, **changes)
+        try:
+            updated = repo.update_material(material.id, **changes)
+        except SchemaError as exc:
+            raise HttpError(400, str(exc))
         return json_response(_material_payload(repo, updated))
 
     @route("DELETE", "/materials/<int:id>")
     def delete_material(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         repo.delete_material(material.id)
         return json_response({"deleted": material.id})
@@ -188,7 +302,7 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("GET", "/materials/<int:id>/classifications")
     def list_classifications(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         cs = repo.classification_of(material.id)
         return json_response(cursor_page([
@@ -199,9 +313,9 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("POST", "/materials/<int:id>/classifications")
     def add_classification(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         body = request.json()
-        cs = api._parse_classification([body])
+        cs = _parse_classification([body])
         assert material.id is not None
         for item in cs.items():
             try:
@@ -217,7 +331,7 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("DELETE", "/materials/<int:id>/classifications")
     def remove_classification(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         key = request.query_one("key")
         if not key:
             raise HttpError(400, "query parameter 'key' is required")
@@ -231,7 +345,7 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("GET", "/materials/<int:id>/similar")
     def similar_materials(request: Request) -> Response:
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         try:
             hits = api._search.similar_to(
@@ -252,7 +366,7 @@ def register_v2(api: "CarCsApi") -> None:
     def material_variants(request: Request) -> Response:
         from repro.analysis.variants import find_variants
 
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         hits = find_variants(
             repo, material.id,
@@ -277,7 +391,7 @@ def register_v2(api: "CarCsApi") -> None:
     def material_lint(request: Request) -> Response:
         from repro.analysis.consistency import lint_material
 
-        material = api._material_or_404(request)
+        material = _material_or_404(repo, request)
         assert material.id is not None
         findings = lint_material(repo, material.id)
         return json_response({
@@ -319,7 +433,7 @@ def register_v2(api: "CarCsApi") -> None:
 
     @route("GET", "/search")
     def search(request: Request) -> Response:
-        text, filters = api._parse_search_request(request)
+        text, filters = _parse_search_request(request)
         hits = api._search.search(
             text, filters, limit=max(repo.material_count(), 1),
         )
@@ -342,7 +456,7 @@ def register_v2(api: "CarCsApi") -> None:
             onto = repo.ontology(ontology)
         except KeyError as exc:
             raise HttpError(404, str(exc))
-        api._require_collection(collection)
+        _require_collection(repo, collection)
         report = repo.coverage(ontology, collection=collection)
         return json_response({
             "collection": collection,
@@ -365,8 +479,8 @@ def register_v2(api: "CarCsApi") -> None:
             )
         threshold = request.query_int("threshold", 2) or 2
         graph = repo.similarity(
-            api._collection_ids(left),
-            api._collection_ids(right),
+            _collection_ids(repo, left),
+            _collection_ids(repo, right),
             threshold=threshold,
             left_group=left,
             right_group=right,
@@ -398,8 +512,8 @@ def register_v2(api: "CarCsApi") -> None:
             onto = repo.ontology(ontology)
         except KeyError as exc:
             raise HttpError(404, str(exc))
-        api._require_collection(reference)
-        api._require_collection(candidate)
+        _require_collection(repo, reference)
+        _require_collection(repo, candidate)
         ref = repo.coverage(ontology, collection=reference)
         cand = repo.coverage(ontology, collection=candidate)
         report = find_gaps(
@@ -459,7 +573,7 @@ def register_v2(api: "CarCsApi") -> None:
         selected = body.get("selected", [])
         if not text and not selected:
             raise HttpError(400, "'text' or 'selected' is required")
-        recs = repo.recommend(text, selected, top=body.get("top", 10))
+        recs = repo.recommend(text, selected, top=_int_field(body, "top", 10))
         return json_response({
             "suggestions": [
                 {"key": r.key, "score": r.score, "source": r.source}
@@ -482,9 +596,9 @@ def register_v2(api: "CarCsApi") -> None:
         if body.get("collection") is not None:
             payload["collection"] = str(body["collection"])
         if body.get("ontologies") is not None:
-            payload["ontologies"] = [str(o) for o in body["ontologies"]]
+            payload["ontologies"] = list(_str_tuple(body, "ontologies"))
         if body.get("top") is not None:
-            payload["top"] = int(body["top"])
+            payload["top"] = _int_field(body, "top")
         try:
             job = api.queue.enqueue(
                 "classify", payload,

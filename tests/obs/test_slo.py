@@ -26,7 +26,7 @@ def make_monitor(registry, clock, **kwargs):
 
 
 def record_requests(registry, n, *, status="2xx", latency=0.01,
-                    route="GET /api/v1/stats"):
+                    route="GET /api/v2/stats"):
     for _ in range(n):
         registry.counter(
             "http_requests_total", route=route, status=status,

@@ -281,7 +281,7 @@ class TestMetricsBridge:
 class TestRenderText:
     def test_tree_layout_attributes_and_error_lines(self):
         t = tracer(slow_ms=0.0)
-        with t.trace("GET /api/v1/search", status=200) as root:
+        with t.trace("GET /api/v2/search", status=200) as root:
             with span("search.query", mode="bm25"):
                 with span("db.changes_since") as inner:
                     inner.mark_error("journal outrun")
@@ -291,7 +291,7 @@ class TestRenderText:
         assert lines[0].startswith(f"trace {root.trace_id}")
         assert "spans=3" in lines[0]
         assert "SLOW" in lines[0]
-        assert lines[1].startswith("- GET /api/v1/search")
+        assert lines[1].startswith("- GET /api/v2/search")
         assert "[status=200]" in lines[1]
         assert lines[2].startswith("  - search.query")
         assert "[mode=bm25]" in lines[2]

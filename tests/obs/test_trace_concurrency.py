@@ -139,7 +139,7 @@ class TestSamplerUnderThreadedLoad:
         )
         api = CarCsApi(repo, tracer=tracer)
 
-        @api.router.route("GET", "/api/v1/boom")
+        @api.router.route("GET", "/api/v2/boom")
         def boom(request):
             raise RuntimeError("kaboom")
 
@@ -155,7 +155,7 @@ class TestSamplerUnderThreadedLoad:
                         if (worker + n) % 3 == 0:
                             try:
                                 urllib.request.urlopen(
-                                    f"{srv.url}/api/v1/boom", timeout=30
+                                    f"{srv.url}/api/v2/boom", timeout=30
                                 )
                             except urllib.error.HTTPError as err:
                                 assert err.code == 500
@@ -165,7 +165,7 @@ class TestSamplerUnderThreadedLoad:
                                     )
                         else:
                             with urllib.request.urlopen(
-                                f"{srv.url}/api/v1/stats", timeout=30
+                                f"{srv.url}/api/v2/stats", timeout=30
                             ) as response:
                                 assert response.status == 200
                                 with sink:

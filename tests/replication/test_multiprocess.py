@@ -90,19 +90,19 @@ def topology():
             "serve", "--primary", "--host", "127.0.0.1",
             "--port", str(primary_port), "--repl-port", str(repl_port),
         )
-        _wait_http(f"{primary_url}/api/v1/healthz", deadline)
+        _wait_http(f"{primary_url}/api/v2/healthz", deadline)
         procs["replica"] = _spawn(
             "serve", "--replica", f"127.0.0.1:{repl_port}",
             "--host", "127.0.0.1", "--port", str(replica_port),
             "--primary-url", primary_url,
         )
-        _wait_http(f"{replica_url}/api/v1/healthz", deadline)
+        _wait_http(f"{replica_url}/api/v2/healthz", deadline)
         procs["router"] = _spawn(
             "serve", "--router", "--host", "127.0.0.1",
             "--port", str(router_port),
             "--primary-url", primary_url, "--replica-url", replica_url,
         )
-        _wait_http(f"{router_url}/api/v1/fleet", deadline)
+        _wait_http(f"{router_url}/api/v2/fleet", deadline)
         yield {
             "primary": primary_url, "replica": replica_url,
             "router": router_url, "procs": procs,
@@ -122,7 +122,7 @@ class TestRealTopology:
         router = topology["router"]
         session = {"x-carcs-session": "e2e"}
         status, headers, created = _http(
-            "POST", f"{router}/api/v1/assignments",
+            "POST", f"{router}/api/v2/materials",
             body={"title": "E2E across processes"}, headers=session,
         )
         assert status == 201
@@ -131,7 +131,7 @@ class TestRealTopology:
         # Immediately read back through the router with the same
         # session: RYW must hold whichever node answers.
         status, headers, fetched = _http(
-            "GET", f"{router}/api/v1/assignments/{mid}", headers=session,
+            "GET", f"{router}/api/v2/materials/{mid}", headers=session,
         )
         assert status == 200
         assert fetched["id"] == mid
@@ -139,7 +139,7 @@ class TestRealTopology:
 
     def test_replica_converges_and_reports_its_stream(self, topology):
         status, _, created = _http(
-            "POST", f"{topology['primary']}/api/v1/assignments",
+            "POST", f"{topology['primary']}/api/v2/materials",
             body={"title": "converge me"},
         )
         assert status == 201
@@ -149,7 +149,7 @@ class TestRealTopology:
             try:
                 code, _, fetched = _http(
                     "GET",
-                    f"{topology['replica']}/api/v1/assignments/{created['id']}",
+                    f"{topology['replica']}/api/v2/materials/{created['id']}",
                 )
                 if code == 200:
                     break
@@ -157,19 +157,19 @@ class TestRealTopology:
                 pass
             time.sleep(0.1)
         assert fetched and fetched["title"] == "converge me"
-        _, _, repl = _http("GET", f"{topology['replica']}/api/v1/replication")
+        _, _, repl = _http("GET", f"{topology['replica']}/api/v2/replication")
         assert repl["role"] == "replica"
         assert repl["connected"] is True
         assert repl["snapshots_applied"] >= 1
         _, _, primary = _http(
-            "GET", f"{topology['primary']}/api/v1/replication"
+            "GET", f"{topology['primary']}/api/v2/replication"
         )
         assert primary["role"] == "primary"
         assert primary["connected_replicas"] == 1
 
     def test_replica_rejects_writes_pointing_at_the_primary(self, topology):
         with pytest.raises(urllib.error.HTTPError) as err:
-            _http("POST", f"{topology['replica']}/api/v1/assignments",
+            _http("POST", f"{topology['replica']}/api/v2/materials",
                   body={"title": "nope"})
         assert err.value.code == 403
         assert err.value.headers["x-carcs-primary"] == topology["primary"]
@@ -180,11 +180,11 @@ class TestRealTopology:
         served_by_primary = False
         while time.time() < deadline and not served_by_primary:
             status, headers, _ = _http(
-                "GET", f"{topology['router']}/api/v1/assignments",
+                "GET", f"{topology['router']}/api/v2/materials",
             )
             assert status == 200  # reads never black out
             served_by_primary = headers["x-carcs-backend"] == "primary"
             time.sleep(0.05)
         assert served_by_primary
-        _, _, fleet = _http("GET", f"{topology['router']}/api/v1/fleet")
+        _, _, fleet = _http("GET", f"{topology['router']}/api/v2/fleet")
         assert fleet["healthy_replicas"] == 0

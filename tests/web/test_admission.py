@@ -57,19 +57,19 @@ class TestTokenBucket:
 
 class TestDeadlines:
     def test_expired_deadline_sheds_before_dispatch(self):
-        client = Client(_api(), root="/api/v1")
+        client = Client(_api(), root="/api/v2")
         response = client.get("/stats", headers={DEADLINE_HEADER: "0"})
         assert response.status == 503
         assert response.headers["retry-after"] == "1"
         assert "deadline" in response.error["message"]
 
     def test_generous_deadline_admits(self):
-        client = Client(_api(), root="/api/v1")
+        client = Client(_api(), root="/api/v2")
         response = client.get("/stats", headers={DEADLINE_HEADER: "30000"})
         assert response.ok
 
     def test_malformed_deadline_is_ignored(self):
-        client = Client(_api(), root="/api/v1")
+        client = Client(_api(), root="/api/v2")
         for junk in ("banana", "", "inf", "nan"):
             assert client.get(
                 "/stats", headers={DEADLINE_HEADER: junk}
@@ -83,9 +83,9 @@ class TestDeadlines:
             _trace.check_deadline("slow handler")
             return json_response({"ok": True})
 
-        api.router.add("GET", "/api/v1/slow", slow)
+        api.router.add("GET", "/api/v2/slow", slow)
         client = Client(api)
-        response = client.get("/api/v1/slow", headers={DEADLINE_HEADER: "5"})
+        response = client.get("/api/v2/slow", headers={DEADLINE_HEADER: "5"})
         assert response.status == 503
         assert response.headers["retry-after"] == "1"
         assert api.admission.stats()["shed_deadline"] == 1
@@ -101,10 +101,10 @@ class TestDeadlines:
             api.repo.db.insert("authors", name="too-late")
             return json_response({"ok": True})
 
-        api.router.add("GET", "/api/v1/dbwrite", db_write)
+        api.router.add("GET", "/api/v2/dbwrite", db_write)
         client = Client(api)
         response = client.get(
-            "/api/v1/dbwrite", headers={DEADLINE_HEADER: "5"}
+            "/api/v2/dbwrite", headers={DEADLINE_HEADER: "5"}
         )
         assert response.status == 503
         # The abort happened before the engine touched anything.
@@ -114,7 +114,7 @@ class TestDeadlines:
 class TestRateLimit:
     def test_per_client_buckets_answer_429_with_retry_after(self):
         client = Client(
-            _api(rate_limit=1.0, rate_burst=2.0), root="/api/v1"
+            _api(rate_limit=1.0, rate_burst=2.0), root="/api/v2"
         )
         one = {CLIENT_HEADER: "alice"}
         assert client.get("/stats", headers=one).ok
@@ -126,22 +126,31 @@ class TestRateLimit:
         assert client.get("/stats", headers={CLIENT_HEADER: "bob"}).ok
 
     def test_rate_limit_off_by_default(self):
-        client = Client(_api(), root="/api/v1")
+        client = Client(_api(), root="/api/v2")
         for _ in range(20):
             assert client.get("/stats").ok
 
     def test_env_configuration(self, monkeypatch):
         monkeypatch.setenv("CARCS_RATE_LIMIT", "1")
         monkeypatch.setenv("CARCS_RATE_BURST", "1")
-        client = Client(_api(), root="/api/v1")
+        client = Client(_api(), root="/api/v2")
         assert client.get("/stats").ok
         assert client.get("/stats").status == 429
 
     def test_exempt_paths_never_shed(self):
-        client = Client(_api(rate_limit=1.0, rate_burst=1.0), root="/api/v1")
+        client = Client(_api(rate_limit=1.0, rate_burst=1.0), root="/api/v2")
         for _ in range(5):
             assert client.get("/healthz").ok
             assert client.get("/metrics").ok
+
+    def test_exempt_paths_match_with_a_trailing_slash(self):
+        # The router accepts one trailing slash, so the exemption must too.
+        client = Client(_api(rate_limit=1.0, rate_burst=1.0))
+        assert client.get("/api/v2/stats").ok  # spends the only token
+        for path in ("/api/v2/healthz", "/api/v2/healthz/",
+                     "/api/v2/metrics", "/api/v2/metrics/"):
+            assert client.get(path).ok, path
+        assert client.get("/api/v2/stats").status == 429
 
 
 class TestInflightCap:
@@ -193,7 +202,7 @@ class TestFrontTierPropagation:
 
         front = FrontTier(LocalBackend("primary", backend_app))
         response = front(Request.build(
-            "GET", "/api/v1/stats", headers={DEADLINE_HEADER: "5000"}
+            "GET", "/api/v2/stats", headers={DEADLINE_HEADER: "5000"}
         ))
         assert response.ok
         forwarded = float(seen["deadline"])
@@ -208,7 +217,7 @@ class TestFrontTierPropagation:
 
         front = FrontTier(LocalBackend("primary", backend_app))
         response = front(Request.build(
-            "GET", "/api/v1/stats", headers={DEADLINE_HEADER: "-1"}
+            "GET", "/api/v2/stats", headers={DEADLINE_HEADER: "-1"}
         ))
         assert response.status == 503
         assert calls == []
@@ -219,8 +228,8 @@ class TestFrontTierPropagation:
             LocalBackend("primary", lambda r: json_response({"ok": True})),
             rate_limit=1.0, rate_burst=1.0,
         )
-        first = front(Request.build("GET", "/api/v1/stats"))
-        second = front(Request.build("GET", "/api/v1/stats"))
+        first = front(Request.build("GET", "/api/v2/stats"))
+        second = front(Request.build("GET", "/api/v2/stats"))
         assert first.ok
         assert second.status == 429
 
@@ -230,13 +239,14 @@ class TestFrontTierPropagation:
             rate_limit=1.0, rate_burst=1.0,
         )
         for _ in range(5):
-            assert front(Request.build("GET", "/api/v1/fleet")).ok
+            for path in ("/api/v2/fleet", "/api/v2/fleet/", "/api/v2/healthz"):
+                assert front(Request.build("GET", path)).ok, path
 
 
 class TestObservability:
     def test_admission_stats_export_as_gauges(self):
         api = _api(rate_limit=1.0, rate_burst=1.0)
-        client = Client(api, root="/api/v1")
+        client = Client(api, root="/api/v2")
         assert client.get("/stats").ok
         assert client.get("/stats").status == 429
         gauges = client.get("/metrics").payload["metrics"]["gauges"]
@@ -245,7 +255,7 @@ class TestObservability:
 
     def test_shed_counter_labels_reason(self):
         api = _api(rate_limit=1.0, rate_burst=1.0)
-        client = Client(api, root="/api/v1")
+        client = Client(api, root="/api/v2")
         client.get("/stats")
         client.get("/stats")
         counters = api.metrics.export()["counters"]

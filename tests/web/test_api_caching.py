@@ -19,11 +19,11 @@ from repro.web import ApiServer, CarCsApi, Client
 
 @pytest.fixture()
 def client():
-    return Client(CarCsApi(seed_all()))
+    return Client(CarCsApi(seed_all()), root="/api/v2")
 
 
 def make_material(client, title="Cache probe"):
-    response = client.post("/assignments", body={
+    response = client.post("/materials", body={
         "title": title,
         "description": "etag test material",
         "collection": "etag-demo",
@@ -66,7 +66,7 @@ class TestEtagRoundTrip:
             "/coverage?collection=itcs3145&ontology=PDC12", headers={"if-none-match": fresh}
         ).status == 304
 
-        client.delete(f"/assignments/{mid}")
+        client.delete(f"/materials/{mid}")
         assert client.get(
             "/coverage?collection=itcs3145&ontology=PDC12", headers={"if-none-match": fresh}
         ).status == 200
@@ -77,7 +77,7 @@ class TestEtagRoundTrip:
         stats = client.get("/stats").headers["etag"]
         assert cov == stats
         assert client.get(
-            "/assignments", headers={"if-none-match": cov}
+            "/materials", headers={"if-none-match": cov}
         ).status == 304
 
     def test_wildcard_and_weak_validators(self, client):
@@ -109,12 +109,12 @@ class TestEtagRoundTrip:
         # Non-GET requests are never short-circuited to 304.
         etag = client.get("/stats").headers["etag"]
         response = client.post(
-            "/recommend", body={"text": "mpi"},
+            "/recommendations", body={"text": "mpi"},
             headers={"if-none-match": etag},
         )
         assert response.status == 200
         # Error responses carry no ETag (the payload is not cacheable).
-        missing = client.get("/assignments/999999")
+        missing = client.get("/materials/999999")
         assert missing.status == 404
         assert "etag" not in missing.headers
 
@@ -128,13 +128,13 @@ class TestEtagOverRealHttp:
             yield srv
 
     def test_304_over_the_wire(self, server):
-        with urllib.request.urlopen(f"{server.url}/stats") as resp:
+        with urllib.request.urlopen(f"{server.url}/api/v2/stats") as resp:
             assert resp.status == 200
             etag = resp.headers["etag"]
             assert json.loads(resp.read())
 
         request = urllib.request.Request(
-            f"{server.url}/stats", headers={"If-None-Match": etag}
+            f"{server.url}/api/v2/stats", headers={"If-None-Match": etag}
         )
         # urllib raises on any non-2xx status, including 304.
         with pytest.raises(urllib.error.HTTPError) as excinfo:

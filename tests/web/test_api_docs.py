@@ -26,32 +26,13 @@ def test_api_md_is_in_sync_with_route_table():
 
 def test_every_canonical_route_is_documented():
     from repro.core.repository import Repository
-    from repro.web.api import API_V2_PREFIX, CarCsApi
+    from repro.web.api import CarCsApi
 
     text = (REPO_ROOT / "docs" / "api.md").read_text()
     documented = set(re.findall(r"^### `(\w+) ([^`]+)`", text, re.MULTILINE))
     api = CarCsApi(Repository())
-    live = {
-        (r.method, r.pattern) for r in api.router.routes()
-        if not r.deprecated and r.pattern.startswith(API_V2_PREFIX)
-    }
+    live = {(r.method, r.pattern) for r in api.router.routes()}
     assert documented == live
-
-
-def test_migration_table_covers_every_v1_route():
-    from repro.core.repository import Repository
-    from repro.web.api import API_PREFIX, CarCsApi
-
-    text = (REPO_ROOT / "docs" / "api.md").read_text()
-    migrated = set(re.findall(
-        r"^\| `(\w+) (/api/v1[^`]*)` \|", text, re.MULTILINE
-    ))
-    api = CarCsApi(Repository())
-    live_v1 = {
-        (r.method, r.pattern) for r in api.router.routes()
-        if not r.deprecated and r.pattern.startswith(API_PREFIX)
-    }
-    assert migrated == live_v1
 
 
 def test_check_mode_detects_drift(tmp_path, capsys):

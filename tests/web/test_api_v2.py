@@ -1,4 +1,4 @@
-"""The ``/api/v2`` surface: resources, cursors, async jobs, the shim."""
+"""The ``/api/v2`` surface: resources, cursors, async jobs."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.corpus import keys as K
 from repro.corpus.seed import seed_all, seed_ontologies
 from repro.jobs import run_pending
 from repro.web import CarCsApi, Client
-from repro.web.api import API_V2_PREFIX, V1_SUNSET
+from repro.web.api import API_V2_PREFIX
 
 
 @pytest.fixture(scope="module")
@@ -68,28 +68,30 @@ class TestIndexAndShim:
         assert "sunset" not in response.headers
         assert "deprecation" not in response.headers
 
-    def test_v1_routes_carry_sunset_header(self, api):
-        v1 = Client(api, root="/api/v1")
-        response = v1.get("/ontologies")
-        assert response.ok
-        assert response.headers["sunset"] == V1_SUNSET
-        assert "deprecation" not in response.headers
-        index = v1.get("/").json()
-        assert index["successor"] == API_V2_PREFIX
-        assert index["sunset"] == V1_SUNSET
-
-    def test_v1_and_v2_reads_agree(self, api):
-        v1 = Client(api, root="/api/v1")
-        v2 = Client(api, root=API_V2_PREFIX)
-        left = v1.get("/coverage?collection=nifty&ontology=CS13").json()
-        right = v2.get("/coverage?collection=nifty&ontology=CS13").json()
-        assert left == right
-
     def test_ops_endpoints_serve_on_v2(self, client):
         assert client.get("/healthz").json()["status"] == "ok"
         metrics = client.get("/metrics").json()["metrics"]
         gauges = metrics["gauges"]
         assert any(k.startswith("carcs_jobs{") for k in gauges)
+
+
+class TestRetiredSurface:
+    @pytest.mark.parametrize(
+        "path", ["/api/v1", "/api/v1/stats", "/stats", "/assignments/1"],
+    )
+    def test_retired_paths_answer_404(self, api, path):
+        response = Client(api).get(path)
+        assert response.status == 404
+        assert response.error["code"] == 404
+        assert response.error["request_id"]
+        assert "sunset" not in response.headers
+        assert "deprecation" not in response.headers
+
+    def test_index_lists_every_route(self, api, client):
+        listed = [
+            (r["method"], r["path"]) for r in client.get("/").json()["routes"]
+        ]
+        assert listed == [(r.method, r.pattern) for r in api.router.routes()]
 
 
 class TestCursorPagination:

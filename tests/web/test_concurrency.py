@@ -18,8 +18,8 @@ from repro.web.server import ApiServer
 WORKERS = 6
 ROUNDS = 8
 
-COVERAGE = "/api/v1/coverage?collection=itcs3145&ontology=PDC12"
-SIMILARITY = "/api/v1/similarity?left=nifty&right=peachy"
+COVERAGE = "/api/v2/coverage?collection=itcs3145&ontology=PDC12"
+SIMILARITY = "/api/v2/similarity?left=nifty&right=peachy"
 
 
 def fetch(url: str) -> tuple[int, bytes]:
@@ -56,7 +56,7 @@ class TestConcurrentSmoke:
                 # Mutations confined to a scratch collection so the
                 # analytics queries above never see them.
                 for i in range(ROUNDS):
-                    status, body = post(f"{srv.url}/api/v1/assignments", {
+                    status, body = post(f"{srv.url}/api/v2/materials", {
                         "title": f"smoke {worker}-{i}",
                         "collection": "smoke",
                     })
@@ -64,7 +64,7 @@ class TestConcurrentSmoke:
                         failures.append(("post", status))
                         return
                     mid = json.loads(body)["id"]
-                    if delete(f"{srv.url}/api/v1/assignments/{mid}") != 200:
+                    if delete(f"{srv.url}/api/v2/materials/{mid}") != 200:
                         failures.append(("delete", mid))
 
             def reader(worker: int):
@@ -103,15 +103,15 @@ class TestConcurrentSmoke:
             assert set(similarity_bodies) == {expected_similarity}
 
         # The scratch mutations all round-tripped: no smoke residue.
-        quiet = Client(api, root="/api/v1")
-        leftovers = quiet.get("/assignments?collection=smoke").json()
+        quiet = Client(api, root="/api/v2")
+        leftovers = quiet.get("/materials?collection=smoke").json()
         assert leftovers["total"] == 0
 
     def test_get_path_never_acquires_the_read_lock(self, seeded_repo):
         """The MVCC contract: GETs pin a snapshot and take **no lock**.
         Any ``RWLock.acquire_read`` on the read path is a regression."""
         api = CarCsApi(seeded_repo)
-        client = Client(api, root="/api/v1")
+        client = Client(api, root="/api/v2")
         lock = seeded_repo.db.lock
         acquires = []
         original = lock.acquire_read
@@ -126,8 +126,8 @@ class TestConcurrentSmoke:
                 "/healthz",
                 "/stats",
                 "/metrics",
-                "/assignments",
-                "/assignments/1",
+                "/materials",
+                "/materials/1",
                 "/search?q=monte+carlo",
                 "/coverage?collection=itcs3145&ontology=PDC12",
                 "/similarity?left=nifty&right=peachy",
@@ -146,8 +146,8 @@ class TestConcurrentSmoke:
         partially applied mix."""
         repo = bare_repo
         api = CarCsApi(repo)
-        client = Client(api, root="/api/v1")
-        listing = "/assignments?collection=bulk&limit=500"
+        client = Client(api, root="/api/v2")
+        listing = "/materials?collection=bulk&limit=500"
 
         first = client.get(listing)
         before = first.text()

@@ -38,6 +38,22 @@ CASES = {
         "/api/v2/materials", body={}
     ),
     "cursor-400": lambda: Client(_api()).get("/api/v2/materials?cursor=@@"),
+    "job-top-400": lambda: Client(_api()).post(
+        "/api/v2/jobs/classify", body={"top": "x"}
+    ),
+    "job-ontologies-400": lambda: Client(_api()).post(
+        "/api/v2/jobs/classify", body={"ontologies": 5}
+    ),
+    "recommend-top-400": lambda: Client(_api()).post(
+        "/api/v2/recommendations", body={"text": "mpi", "top": "x"}
+    ),
+    "authors-400": lambda: Client(_api()).post(
+        "/api/v2/materials", body={"title": "t", "authors": 5}
+    ),
+    "classifications-400": lambda: Client(_api()).post(
+        "/api/v2/materials", body={"title": "t", "classifications": None}
+    ),
+    "schema-400": lambda: _patch_with_bad_year(),
     "boundary-500": lambda: Client(_crashing_api()).get("/api/v2/crash"),
     "replica-403": lambda: Client(
         _api(read_only=True, primary_url="http://primary:8080")
@@ -55,6 +71,12 @@ def _crashing_api() -> CarCsApi:
     return api
 
 
+def _patch_with_bad_year():
+    client = Client(_api(), root=API_V2_PREFIX)
+    mid = client.post("/materials", body={"title": "t"}).json()["id"]
+    return client.patch(f"/materials/{mid}", body={"year": "abc"})
+
+
 def _saturated_queue_response():
     client = Client(_api(max_queued_jobs=1), root=API_V2_PREFIX)
     assert client.post("/jobs/classify", body={}).status == 202
@@ -67,6 +89,12 @@ EXPECTED_STATUS = {
     "resource-404": 404,
     "validation-400": 400,
     "cursor-400": 400,
+    "job-top-400": 400,
+    "job-ontologies-400": 400,
+    "recommend-top-400": 400,
+    "authors-400": 400,
+    "classifications-400": 400,
+    "schema-400": 400,
     "boundary-500": 500,
     "replica-403": 403,
     "front-tier-503": 503,

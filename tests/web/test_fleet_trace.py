@@ -63,8 +63,7 @@ def traced_fleet():
         primary_api=primary_api,
         primary_tracer=primary_tracer,
         router_tracer=router_tracer,
-        client=Client(front, root="/api/v1"),
-        v2=Client(front, root="/api/v2"),
+        client=Client(front, root="/api/v2"),
     )
 
 
@@ -85,7 +84,7 @@ class TestContextPropagation:
         assert router_record is not None
         assert member_record is not None
         assert router_record.root.name == "front GET"
-        assert member_record.root.name == "GET /api/v1/stats"
+        assert member_record.root.name == "GET /api/v2/stats"
         # The member root names the router's hop span as its remote
         # parent — the edge the stitcher walks.
         hop = next(
@@ -116,13 +115,13 @@ class TestContextPropagation:
         front = FrontTier(
             backend, [], tracer=make_tracer(mode=MODE_OFF), name="router",
         )
-        response = Client(front, root="/api/v1").get("/stats")
+        response = Client(front, root="/api/v2").get("/stats")
         assert response.ok
         assert "x-trace-id" not in response.headers
         assert "traceparent" not in backend.seen_headers[-1]
 
     def test_router_root_span_marks_5xx(self, traced_fleet):
-        @traced_fleet.primary_api.router.route("GET", "/api/v1/boom")
+        @traced_fleet.primary_api.router.route("GET", "/api/v2/boom")
         def boom(request):
             raise RuntimeError("kaboom")
 
@@ -149,7 +148,7 @@ class TestServedBy:
 class TestStitchedTraceEndpoint:
     def test_stitched_tree_spans_router_and_member(self, traced_fleet):
         trace_id = traced_fleet.client.get("/stats").headers["x-trace-id"]
-        stitched = traced_fleet.v2.get(f"/traces/{trace_id}")
+        stitched = traced_fleet.client.get(f"/traces/{trace_id}")
         assert stitched.ok
         payload = stitched.json()
         assert payload["trace_id"] == trace_id
@@ -166,7 +165,7 @@ class TestStitchedTraceEndpoint:
             c for c in payload["root"]["children"]
             if c["name"] == "front.read"
         )
-        assert hop["children"][0]["name"] == "GET /api/v1/stats"
+        assert hop["children"][0]["name"] == "GET /api/v2/stats"
         assert hop["children"][0]["process"] == "primary"
 
     def test_job_segment_joins_the_stitched_tree(self, traced_fleet):
@@ -176,7 +175,7 @@ class TestStitchedTraceEndpoint:
         traced_fleet.repo.add_material(
             Material(title="untagged", description="")
         )
-        accepted = traced_fleet.v2.post("/jobs/classify", body={})
+        accepted = traced_fleet.client.post("/jobs/classify", body={})
         assert accepted.status == 202
         trace_id = accepted.headers["x-trace-id"]
         run_pending(
@@ -184,7 +183,7 @@ class TestStitchedTraceEndpoint:
             traced_fleet.primary_api.job_handlers,
             tracer=traced_fleet.primary_tracer,
         )
-        payload = traced_fleet.v2.get(f"/traces/{trace_id}").json()
+        payload = traced_fleet.client.get(f"/traces/{trace_id}").json()
         assert payload["unlinked"] == []
         names = set()
         stack = [payload["root"]]
@@ -196,7 +195,7 @@ class TestStitchedTraceEndpoint:
         assert "job.run" in names
 
     def test_unknown_trace_404s_with_member_detail(self, traced_fleet):
-        response = traced_fleet.v2.get("/traces/deadbeefdeadbeefdeadbeef")
+        response = traced_fleet.client.get("/traces/deadbeefdeadbeefdeadbeef")
         assert response.status == 404
 
     def test_router_only_trace_still_renders(self, traced_fleet):
@@ -207,7 +206,7 @@ class TestStitchedTraceEndpoint:
         # the clear races the deferred insert and the segment survives.
         traced_fleet.primary_tracer.store.segments(trace_id)
         traced_fleet.primary_tracer.store._traces.clear()
-        payload = traced_fleet.v2.get(f"/traces/{trace_id}").json()
+        payload = traced_fleet.client.get(f"/traces/{trace_id}").json()
         assert payload["processes"] == ["router"]
         assert payload["root"]["name"] == "front GET"
 
@@ -216,7 +215,7 @@ class TestSloEndpoint:
     def test_slo_payload_shape(self, traced_fleet):
         for _ in range(3):
             traced_fleet.client.get("/stats")
-        payload = traced_fleet.v2.get("/slo").json()
+        payload = traced_fleet.client.get("/slo").json()
         assert set(payload["windows"]) == {"5m", "1h"}
         window = payload["windows"]["5m"]
         for key in ("availability", "availability_burn", "latency_burn",
@@ -230,7 +229,7 @@ class TestSloEndpoint:
     def test_slo_gauges_ride_the_metrics_exposition(self, traced_fleet):
         traced_fleet.client.get("/stats")
         text = Client(
-            traced_fleet.primary_api, root="/api/v1"
+            traced_fleet.primary_api, root="/api/v2"
         ).get("/metrics?format=prometheus").payload
         assert "carcs_slo_burn_rate" in text
         assert "carcs_build_info" in text
@@ -238,7 +237,7 @@ class TestSloEndpoint:
         assert "carcs_process_threads" in text
 
     def test_slo_never_304s(self, traced_fleet):
-        response = traced_fleet.v2.get(
+        response = traced_fleet.client.get(
             "/slo", headers={"if-none-match": "*"},
         )
         assert response.status == 200

@@ -85,18 +85,18 @@ def fleet():
             cursor[0] = end
 
     return SimpleNamespace(
-        client=Client(front, root="/api/v1"),
+        client=Client(front, root="/api/v2"),
         front=front,
         primary_repo=primary_repo,
         replica_db=replica_db,
-        replica_client=Client(replica_api, root="/api/v1"),
+        replica_client=Client(replica_api, root="/api/v2"),
         pump=pump,
     )
 
 
 class TestWriteForwarding:
     def test_writes_land_on_the_primary(self, fleet):
-        created = fleet.client.post("/assignments", body={"title": "W"})
+        created = fleet.client.post("/materials", body={"title": "W"})
         assert created.status == 201
         assert created.headers[BACKEND_HEADER] == "primary"
         # ...and never on the replica until pumped.
@@ -105,7 +105,7 @@ class TestWriteForwarding:
         assert fleet.replica_db.version == fleet.primary_repo.db.version
 
     def test_replica_refuses_direct_writes_with_a_pointer_home(self, fleet):
-        refused = fleet.replica_client.post("/assignments", body={"title": "X"})
+        refused = fleet.replica_client.post("/materials", body={"title": "X"})
         assert refused.status == 403
         assert refused.headers["x-carcs-primary"] == "http://primary.example:8080"
         assert "read replica" in refused.json()["error"]["message"]
@@ -116,11 +116,11 @@ class TestSessionGuarantees:
     def test_session_read_falls_back_to_primary_while_replica_lags(self, fleet):
         session = {SESSION_HEADER: "s-1"}
         created = fleet.client.post(
-            "/assignments", body={"title": "Mine"}, headers=session,
+            "/materials", body={"title": "Mine"}, headers=session,
         )
         mid = created.json()["id"]
         # Replica never pumped: its version sits below the session floor.
-        got = fleet.client.get(f"/assignments/{mid}", headers=session)
+        got = fleet.client.get(f"/materials/{mid}", headers=session)
         assert got.status == 200
         assert got.headers[BACKEND_HEADER] == "primary"
         assert fleet.front.stale_retries >= 1
@@ -131,18 +131,18 @@ class TestSessionGuarantees:
     def test_session_read_comes_from_replica_after_catch_up(self, fleet):
         session = {SESSION_HEADER: "s-2"}
         created = fleet.client.post(
-            "/assignments", body={"title": "Mine"}, headers=session,
+            "/materials", body={"title": "Mine"}, headers=session,
         )
         fleet.pump()
         got = fleet.client.get(
-            f"/assignments/{created.json()['id']}", headers=session,
+            f"/materials/{created.json()['id']}", headers=session,
         )
         assert got.status == 200
         assert got.headers[BACKEND_HEADER] == "replica-0"
 
     def test_sessionless_reads_take_the_replica_even_when_stale(self, fleet):
-        fleet.client.post("/assignments", body={"title": "Unseen"})
-        listed = fleet.client.get("/assignments")
+        fleet.client.post("/materials", body={"title": "Unseen"})
+        listed = fleet.client.get("/materials")
         assert listed.headers[BACKEND_HEADER] == "replica-0"
         assert int(listed.headers[VERSION_HEADER]) < fleet.primary_repo.db.version
 
@@ -157,7 +157,7 @@ class TestSessionGuarantees:
             i = 0
             while not stop.is_set():
                 r = fleet.client.post(
-                    "/assignments", body={"title": f"noise-{tag}-{i}"},
+                    "/materials", body={"title": f"noise-{tag}-{i}"},
                 )
                 if r.status != 201:
                     failures.append(("write", tag, r.status))
@@ -181,12 +181,12 @@ class TestSessionGuarantees:
         try:
             for i in range(40):
                 created = fleet.client.post(
-                    "/assignments", body={"title": f"mine-{i}"},
+                    "/materials", body={"title": f"mine-{i}"},
                     headers=session,
                 )
                 assert created.status == 201
                 mid = created.json()["id"]
-                got = fleet.client.get(f"/assignments/{mid}", headers=session)
+                got = fleet.client.get(f"/materials/{mid}", headers=session)
                 assert got.status == 200, (
                     f"write {i} (id {mid}) invisible to its own session"
                 )
@@ -217,12 +217,12 @@ class TestPrimaryDown:
     def test_writes_503_with_retry_after_while_reads_serve(self, fleet):
         fleet.pump()
         fleet.front.primary = DownBackend("primary")
-        refused = fleet.client.post("/assignments", body={"title": "X"})
+        refused = fleet.client.post("/materials", body={"title": "X"})
         assert refused.status == 503
         assert refused.headers["retry-after"] == "1"
         assert "primary unavailable" in refused.json()["error"]["message"]
         # Reads keep flowing from the replica.
-        listed = fleet.client.get("/assignments")
+        listed = fleet.client.get("/materials")
         assert listed.status == 200
         assert listed.headers[BACKEND_HEADER] == "replica-0"
         assert fleet.front.status()["primary_errors"] >= 1
@@ -230,22 +230,23 @@ class TestPrimaryDown:
     def test_everything_down_is_a_read_503(self, fleet):
         fleet.front.primary = DownBackend("primary")
         fleet.front._slots[0].backend = DownBackend("replica-0")
-        response = fleet.client.get("/assignments")
+        response = fleet.client.get("/materials")
         assert response.status == 503
         assert response.headers["retry-after"] == "1"
 
 
 class _StubReplicaApp:
-    """Answers the health probe with a scriptable replication status."""
+    """Answers the health probe with a scriptable replication status and
+    records every path it was asked for."""
 
     def __init__(self):
         self.replication = {"role": "replica", "connected": True,
                            "lag_frames": 0}
-        self.requests = 0
+        self.paths = []
 
     def __call__(self, request):
-        self.requests += 1
-        if request.path == "/api/v1/replication":
+        self.paths.append(request.path)
+        if request.path.endswith("/replication"):
             return json_response(dict(self.replication))
         return json_response({"ok": True})
 
@@ -256,7 +257,7 @@ class TestReplicaHealth:
         flaky = FlakyBackend("replica-0", stub)
         primary = LocalBackend("primary", _StubReplicaApp())
         front = FrontTier(primary, [flaky], probe_cooldown=0.05, **kwargs)
-        return front, flaky, stub, Client(front, root="/api/v1")
+        return front, flaky, stub, Client(front, root="/api/v2")
 
     def test_failed_replica_is_evicted_then_readmitted(self, fleet_=None):
         front, flaky, _stub, client = self._front()
@@ -288,6 +289,23 @@ class TestReplicaHealth:
         time.sleep(0.06)
         assert client.get("/x").headers[BACKEND_HEADER] == "replica-0"
 
+    def test_probe_targets_a_live_route(self):
+        # The stub answers any */replication path, so check separately
+        # that what the router actually probes is served by a real node.
+        front, flaky, stub, client = self._front()
+        flaky.down = True
+        client.get("/x")  # evicts
+        flaky.down = False
+        time.sleep(0.06)
+        assert client.get("/x").headers[BACKEND_HEADER] == "replica-0"
+        probes = {path for path in stub.paths if not path.endswith("/x")}
+        assert probes
+        node = Client(CarCsApi(Repository()))
+        index = node.get("/api/v2").json()["routes"]
+        for path in probes:
+            assert {"method": "GET", "path": path} in index
+            assert node.get(path).ok
+
     def test_disconnected_replica_is_not_readmitted(self):
         front, flaky, stub, client = self._front()
         flaky.down = True
@@ -303,9 +321,9 @@ class TestReplicaHealth:
 
 class TestFleetStatus:
     def test_fleet_endpoint_answers_from_the_front_tier(self, fleet):
-        fleet.client.post("/assignments", body={"title": "X"},
+        fleet.client.post("/materials", body={"title": "X"},
                           headers={SESSION_HEADER: "s"})
-        fleet.client.get("/assignments")
+        fleet.client.get("/materials")
         status = fleet.client.get("/fleet").json()
         assert status["role"] == "router"
         assert status["primary"] == "primary"

@@ -7,9 +7,9 @@ from repro.web.http import HttpError, Request, error_response, json_response
 
 class TestRequest:
     def test_build_parses_path_and_query(self):
-        r = Request.build("get", "/assignments?collection=nifty&limit=5")
+        r = Request.build("get", "/materials?collection=nifty&limit=5")
         assert r.method == "GET"
-        assert r.path == "/assignments"
+        assert r.path == "/materials"
         assert r.query == {"collection": ["nifty"], "limit": ["5"]}
 
     def test_query_one_default(self):

@@ -41,12 +41,12 @@ def traced_topology():
             "serve", "--host", "127.0.0.1", "--port", str(primary_port),
             "--workers", "1",
         )
-        _wait_http(f"{primary_url}/api/v1/healthz", deadline)
+        _wait_http(f"{primary_url}/api/v2/healthz", deadline)
         procs["router"] = _spawn(
             "serve", "--router", "--host", "127.0.0.1",
             "--port", str(router_port), "--primary-url", primary_url,
         )
-        _wait_http(f"{router_url}/api/v1/fleet", deadline)
+        _wait_http(f"{router_url}/api/v2/fleet", deadline)
         yield {"primary": primary_url, "router": router_url}
     finally:
         for proc in procs.values():

@@ -1,4 +1,4 @@
-"""The instrumented request pipeline: middleware, envelopes, v1 surface."""
+"""The instrumented request pipeline: middleware, envelopes, the API surface."""
 
 import pytest
 
@@ -24,7 +24,7 @@ def api():
 
 @pytest.fixture()
 def client(api):
-    return Client(api, root="/api/v1")
+    return Client(api, root="/api/v2")
 
 
 class TestCompose:
@@ -89,7 +89,7 @@ class TestRequestIds:
         assert r.headers["x-request-id"] == "proxy-41"
 
     def test_error_envelope_carries_the_request_id(self, client):
-        r = client.get("/assignments/999999", headers={"x-request-id": "rid-7"})
+        r = client.get("/materials/999999", headers={"x-request-id": "rid-7"})
         assert r.status == 404
         assert r.error == {
             "code": 404,
@@ -102,7 +102,7 @@ class TestRequestIds:
         assert r.ok
         (record,) = api.request_log.find("logged-1")
         assert record["status"] == 200
-        assert record["route"] == "/api/v1/healthz"
+        assert record["route"] == "/api/v2/healthz"
         assert record["duration_ms"] >= 0
 
 
@@ -138,13 +138,13 @@ class TestErrorBoundary:
         assert handler(Request.build("GET", "/x")).status == 403
 
     def test_handler_exception_does_not_kill_subsequent_requests(self, api):
-        # Register a broken v1 route directly, then hit it over the full
+        # Register a broken route directly, then hit it over the full
         # pipeline: the 500 must not poison the app for the next request.
         api.router.add(
-            "GET", "/api/v1/broken",
+            "GET", "/api/v2/broken",
             lambda request: (_ for _ in ()).throw(ValueError("boom")),
         )
-        client = Client(api, root="/api/v1")
+        client = Client(api, root="/api/v2")
         assert client.get("/broken").status == 500
         assert client.get("/healthz").status == 200
 
@@ -153,7 +153,7 @@ class TestMetricsCollection:
     def test_per_route_counters_and_histograms(self, api, client):
         for _ in range(3):
             assert client.get("/ontologies").ok
-        label = "GET /api/v1/ontologies"
+        label = "GET /api/v2/ontologies"
         counter = api.metrics.counter(
             "http_requests_total", route=label, status="2xx"
         )
@@ -163,8 +163,8 @@ class TestMetricsCollection:
         assert hist.sum > 0
 
     def test_status_classes_are_separated(self, api, client):
-        client.get("/assignments/424242")  # 404
-        label = "GET /api/v1/assignments/<int:id>"
+        client.get("/materials/424242")  # 404
+        label = "GET /api/v2/materials/<int:id>"
         assert api.metrics.counter(
             "http_requests_total", route=label, status="4xx"
         ).value == 1
@@ -181,10 +181,10 @@ class TestMetricsEndpoint:
         assert client.get("/stats").ok
         body = client.get("/metrics").json()
         counters = body["metrics"]["counters"]
-        key = 'http_requests_total{route="GET /api/v1/stats",status="2xx"}'
+        key = 'http_requests_total{route="GET /api/v2/stats",status="2xx"}'
         assert counters[key]["value"] == 1
         hists = body["metrics"]["histograms"]
-        assert 'http_request_seconds{route="GET /api/v1/stats"}' in hists
+        assert 'http_request_seconds{route="GET /api/v2/stats"}' in hists
         gauges = body["metrics"]["gauges"]
         # db/cache counters from Repository.stats() surface as gauges.
         assert "carcs_version" in gauges
@@ -207,39 +207,16 @@ class TestMetricsEndpoint:
 class TestVersionedSurface:
     def test_index_lists_the_route_table(self, client):
         body = client.get("/").json()
-        assert body["api_version"] == "v1"
+        assert body["api_version"] == "v2"
         paths = {(r["method"], r["path"]) for r in body["routes"]}
-        assert ("GET", "/api/v1/coverage") in paths
-        assert ("POST", "/api/v1/assignments") in paths
-        assert ("GET", "/api/v1/metrics") in paths
-        # The index only advertises canonical routes, never the aliases.
-        assert all(p.startswith("/api/v1") for _, p in paths)
-
-    def test_v1_and_alias_dispatch_identically(self, api):
-        plain = Client(api)
-        v1 = Client(api, root="/api/v1")
-        assert v1.get("/ontologies").json() == plain.get("/ontologies").json()
-
-    def test_alias_carries_deprecation_header(self, api):
-        plain = Client(api)
-        r = plain.get("/ontologies")
-        assert r.ok
-        assert r.headers["deprecation"] == "true"
-
-    def test_v1_routes_are_not_deprecated(self, client):
-        r = client.get("/ontologies")
-        assert r.ok
-        assert "deprecation" not in r.headers
-
-    def test_alias_errors_keep_the_envelope_and_header(self, api):
-        r = Client(api).get("/assignments/31337")
-        assert r.status == 404
-        assert r.headers["deprecation"] == "true"
-        assert r.error["code"] == 404
+        assert ("GET", "/api/v2/coverage") in paths
+        assert ("POST", "/api/v2/materials") in paths
+        assert ("GET", "/api/v2/metrics") in paths
+        assert all(p.startswith("/api/v2") for _, p in paths)
 
     def test_typed_params_reach_handlers_as_ints(self, client):
         # A non-numeric id never matches the <int:id> route at all.
-        assert client.get("/assignments/abc").status == 404
-        r = client.get("/assignments/1")
+        assert client.get("/materials/abc").status == 404
+        r = client.get("/materials/1")
         assert r.status == 404  # empty repo, but the route *did* match
         assert "no material with id 1" in r.error["message"]

@@ -48,7 +48,7 @@ def _front_no_backend_read():
 def _front_expired_deadline():
     healthy = LocalBackend("primary", lambda r: json_response({"ok": True}))
     return FrontTier(healthy)(
-        Request.build("GET", "/api/v1/stats", headers={DEADLINE_HEADER: "0"})
+        Request.build("GET", "/api/v2/stats", headers={DEADLINE_HEADER: "0"})
     )
 
 
@@ -59,13 +59,13 @@ def _jobs_queue_full():
 
 
 def _admission_expired_deadline():
-    return Client(_api(), root="/api/v1").get(
+    return Client(_api(), root="/api/v2").get(
         "/stats", headers={DEADLINE_HEADER: "-5"}
     )
 
 
 def _admission_rate_limited():
-    client = Client(_api(rate_limit=1.0, rate_burst=1.0), root="/api/v1")
+    client = Client(_api(rate_limit=1.0, rate_burst=1.0), root="/api/v2")
     assert client.get("/stats").ok
     return client.get("/stats")
 
@@ -74,7 +74,7 @@ def _admission_inflight_capped():
     api = _api(max_inflight=1)
     api.admission._inflight = 1  # a request is mid-dispatch
     try:
-        return Client(api, root="/api/v1").get("/stats")
+        return Client(api, root="/api/v2").get("/stats")
     finally:
         api.admission._inflight = 0
 
@@ -107,7 +107,7 @@ def test_shed_path_carries_retry_after_and_envelope(name):
 
 def test_every_shed_increments_the_shared_counter():
     api = _api(rate_limit=1.0, rate_burst=1.0)
-    client = Client(api, root="/api/v1")
+    client = Client(api, root="/api/v2")
     client.get("/stats")
     client.get("/stats")  # shed
     counters = api.metrics.export()["counters"]

@@ -23,20 +23,20 @@ def get_json(url: str):
 
 class TestHttpServer:
     def test_stats_over_tcp(self, server):
-        status, body = get_json(f"{server.url}/stats")
+        status, body = get_json(f"{server.url}/api/v2/stats")
         assert status == 200
         assert body["materials"] >= 97
 
     def test_coverage_over_tcp(self, server):
         status, body = get_json(
-            f"{server.url}/coverage?collection=peachy&ontology=PDC12"
+            f"{server.url}/api/v2/coverage?collection=peachy&ontology=PDC12"
         )
         assert status == 200
         assert body["n_materials"] == 11
 
     def test_404_status_propagates(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc:
-            get_json(f"{server.url}/nonexistent")
+            get_json(f"{server.url}/api/v2/nonexistent")
         assert exc.value.code == 404
 
     def test_post_with_body(self, server):
@@ -44,7 +44,7 @@ class TestHttpServer:
             "text": "parallel sorting with OpenMP tasks",
         }).encode()
         request = urllib.request.Request(
-            f"{server.url}/recommend", data=data, method="POST",
+            f"{server.url}/api/v2/recommendations", data=data, method="POST",
             headers={"content-type": "application/json"},
         )
         with urllib.request.urlopen(request, timeout=10) as response:

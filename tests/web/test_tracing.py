@@ -4,7 +4,7 @@ The acceptance bar of the tracing layer: every traced API request
 produces a retrievable span tree crossing at least three layers (web
 root span → core ``repo.``/``cache.``/``search.`` spans → ``db.``
 spans), trace ids stay disjoint under a live threaded server, and the
-``/api/v1/traces`` surface pages over retained traces without ever
+``/api/v2/traces`` surface pages over retained traces without ever
 revalidating to a 304.
 """
 
@@ -47,7 +47,7 @@ def api(repo, tracer):
 
 @pytest.fixture()
 def client(api):
-    return Client(api, root="/api/v1")
+    return Client(api, root="/api/v2")
 
 
 def span_names(tree: dict) -> set[str]:
@@ -84,12 +84,12 @@ class TestRootSpan:
     def test_root_span_is_named_after_the_matched_route(self, client, tracer):
         response = client.get(COVERAGE)
         record = tracer.store.get(response.headers["x-trace-id"])
-        assert record.root.name == "GET /api/v1/coverage"
+        assert record.root.name == "GET /api/v2/coverage"
         assert record.root.attributes["status"] == 200
 
     def test_mode_off_is_a_pass_through(self, repo):
         api = CarCsApi(repo, tracer=make_tracer(mode=MODE_OFF))
-        client = Client(api, root="/api/v1")
+        client = Client(api, root="/api/v2")
         response = client.get("/stats")
         assert response.ok
         assert "x-trace-id" not in response.headers
@@ -104,7 +104,7 @@ class TestThreeLayerTraces:
             f"/traces/{response.headers['x-trace-id']}"
         ).json()
         names = span_names(trace["root"])
-        assert trace["root"]["name"] == "GET /api/v1/search"        # web
+        assert trace["root"]["name"] == "GET /api/v2/search"        # web
         assert any(n.startswith("search.") for n in names)          # core
         assert any(n.startswith("db.") for n in names)              # db
         check_parentage(trace["root"], trace["trace_id"])
@@ -126,14 +126,14 @@ class TestThreeLayerTraces:
         # CARCS_TRACE_SAMPLE defaults to 1: sampled mode retains every
         # trace until the stride is raised explicitly.
         api = CarCsApi(repo, tracer=make_tracer(mode=MODE_SAMPLED))
-        client = Client(api, root="/api/v1")
+        client = Client(api, root="/api/v2")
         for path in ("/healthz", "/stats", SEARCH, COVERAGE):
             response = client.get(path)
             trace_id = response.headers["x-trace-id"]
             assert client.get(f"/traces/{trace_id}").ok, path
 
     def test_mutation_requests_carry_db_write_spans(self, client, tracer):
-        created = client.post("/assignments", body={
+        created = client.post("/materials", body={
             "title": "traced scratch", "collection": "traced-scratch",
         })
         assert created.status == 201
@@ -143,7 +143,7 @@ class TestThreeLayerTraces:
         names = span_names(trace["root"])
         assert "db.transaction" in names or "db.insert" in names
         deleted = client.delete(
-            f"/assignments/{created.json()['id']}"
+            f"/materials/{created.json()['id']}"
         )
         assert deleted.ok
 
@@ -160,7 +160,7 @@ class TestTracesEndpoint:
         assert newest["started_ts"] >= second["started_ts"]
 
     def test_status_filter(self, api, client):
-        @api.router.route("GET", "/api/v1/boom")
+        @api.router.route("GET", "/api/v2/boom")
         def boom(request):
             raise RuntimeError("kaboom")
 
@@ -192,9 +192,9 @@ class TestTracesEndpoint:
         api = CarCsApi(
             repo, tracer=make_tracer(mode=MODE_SAMPLED, sample_every=10**6)
         )
-        client = Client(api, root="/api/v1")
+        client = Client(api, root="/api/v2")
 
-        @api.router.route("GET", "/api/v1/boom")
+        @api.router.route("GET", "/api/v2/boom")
         def boom(request):
             raise RuntimeError("kaboom")
 
@@ -232,7 +232,7 @@ class TestMetricsIntegration:
         text = response.payload
         assert isinstance(text, str)
         assert "# TYPE http_requests_total counter" in text
-        assert 'route="GET /api/v1/stats"' in text
+        assert 'route="GET /api/v2/stats"' in text
         assert "http_request_seconds_bucket" in text
         assert 'le="+Inf"' in text
         assert "http_request_seconds_count" in text
@@ -252,7 +252,7 @@ class TestConcurrentTracing:
                 try:
                     for _ in range(4):
                         with urllib.request.urlopen(
-                            f"{srv.url}/api/v1{path}", timeout=30
+                            f"{srv.url}/api/v2{path}", timeout=30
                         ) as response:
                             assert response.status == 200
                             with sink:
@@ -279,7 +279,7 @@ class TestConcurrentTracing:
             # Every trace is retrievable and internally consistent.
             for trace_id in trace_ids:
                 with urllib.request.urlopen(
-                    f"{srv.url}/api/v1/traces/{trace_id}", timeout=30
+                    f"{srv.url}/api/v2/traces/{trace_id}", timeout=30
                 ) as response:
                     trace = json.loads(response.read())
                 assert trace["spans"] == check_parentage(
